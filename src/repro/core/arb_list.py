@@ -20,19 +20,18 @@ current graph with an edge in Êm appears in the output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
 import numpy as np
 
 from repro.congest.ledger import RoundLedger
-from repro.core.cluster_task import ClusterOutcome, process_cluster
+from repro.core.cluster_task import process_cluster
 from repro.core.k4 import sequential_light_phase
 from repro.core.params import AlgorithmParameters, K4_VARIANT
+from repro.core.result import Attribution
 from repro.decomposition.expander import DecompositionParams, expander_decomposition
 from repro.graphs.graph import Edge, Graph
 from repro.graphs.orientation import Orientation
-
-Clique = FrozenSet[int]
 
 
 @dataclass
@@ -72,21 +71,14 @@ class ArbListState:
 
 
 @dataclass
-class ArbListOutcome:
-    """Result of one ARB-LIST invocation."""
+class ArbListOutcome(Attribution):
+    """Result of one ARB-LIST invocation: every cluster's listing, then
+    the K4 variant's light-node listing, concatenated."""
 
-    listed: Dict[int, Set[Clique]]
     goal_edges: Set[Edge]
     bad_edges: Set[Edge]
     num_clusters: int
     stats: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def cliques(self) -> Set[Clique]:
-        result: Set[Clique] = set()
-        for cliques in self.listed.values():
-            result |= cliques
-        return result
 
 
 def arb_list(
@@ -123,7 +115,7 @@ def arb_list(
     )
 
     current = state.current_graph()
-    listed: Dict[int, Set[Clique]] = {}
+    listed: List[Attribution] = []
     goal_edges: Set[Edge] = set()
     bad_edges: Set[Edge] = set()
     phase_max: Dict[str, float] = {}
@@ -139,8 +131,7 @@ def arb_list(
             current, state.orientation, cluster, state.arboricity, params, rng
         )
         cluster_outcomes.append((cluster, outcome))
-        for member, cliques in outcome.listed.items():
-            listed.setdefault(member, set()).update(cliques)
+        listed.append(outcome)
         goal_edges |= outcome.goal_edges
         bad_edges |= outcome.bad_edges
         for phase, rounds in outcome.phase_rounds.items():
@@ -183,14 +174,14 @@ def arb_list(
     # K4 variant (§3): light-incident outside edges were never gathered;
     # C-light nodes list those K4 themselves, clusters one after another.
     if params.variant == K4_VARIANT and cluster_outcomes:
-        light_listed = sequential_light_phase(
-            current,
-            [(cluster.nodes, outcome.light) for cluster, outcome in cluster_outcomes],
-            ledger,
-            f"{phase_prefix}/light_listing",
+        listed.append(
+            sequential_light_phase(
+                current,
+                [(cluster.nodes, outcome.light) for cluster, outcome in cluster_outcomes],
+                ledger,
+                f"{phase_prefix}/light_listing",
+            )
         )
-        for node, cliques in light_listed.items():
-            listed.setdefault(node, set()).update(cliques)
 
     # New Êr: leftover of the decomposition plus the demoted bad edges.
     state.er_edges = set(decomposition.er_edges) | bad_edges
@@ -201,8 +192,9 @@ def arb_list(
     stats["goal_edges"] = float(len(goal_edges))
     stats["bad_edges"] = float(len(bad_edges))
     stats["er_out"] = float(len(state.er_edges))
-    return ArbListOutcome(
-        listed=listed,
+    return ArbListOutcome.joined(
+        listed,
+        params.p,
         goal_edges=goal_edges,
         bad_edges=bad_edges,
         num_clusters=len(decomposition.clusters),

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 import numpy as np
 
@@ -30,22 +30,21 @@ from repro.core.gather import gather_outside_edges
 from repro.core.heavy_light import classify_outside_neighbors
 from repro.core.params import AlgorithmParameters, K4_VARIANT
 from repro.core.reshuffle import reshuffle_edges
+from repro.core.result import Attribution
 from repro.core.sparsity_aware import sparsity_aware_listing
 from repro.decomposition.cluster import Cluster
 from repro.graphs.graph import Edge, Graph
 from repro.graphs.orientation import Orientation
 
-Clique = FrozenSet[int]
-
 
 @dataclass
-class ClusterOutcome:
+class ClusterOutcome(Attribution):
     """Everything ARB-LIST needs back from one cluster.
 
     Attributes
     ----------
-    listed:
-        member -> cliques output by that member.
+    owners / rows:
+        The cliques the members output, one row per (member, clique).
     bad_edges:
         Cluster edges demoted to Êr (empty in the K4 variant).
     goal_edges:
@@ -56,20 +55,12 @@ class ClusterOutcome:
         Measured quantities for reports.
     """
 
-    listed: Dict[int, Set[Clique]]
     bad_edges: FrozenSet[Edge]
     goal_edges: FrozenSet[Edge]
     phase_rounds: Dict[str, float]
     light: FrozenSet[int] = frozenset()
     members: Tuple[int, ...] = ()
     stats: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def cliques(self) -> Set[Clique]:
-        result: Set[Clique] = set()
-        for cliques in self.listed.values():
-            result |= cliques
-        return result
 
 
 def process_cluster(
@@ -198,7 +189,8 @@ def process_cluster(
         )
 
     return ClusterOutcome(
-        listed=outcome.listed,
+        owners=outcome.owners,
+        rows=outcome.rows,
         bad_edges=bad.bad_edges,
         goal_edges=bad.goal_edges,
         phase_rounds=phase_rounds,

@@ -15,23 +15,22 @@ every K4 = {u, w, v, v'} with u, w ∈ C and lists those it observes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import FrozenSet, List, Tuple
+
+import numpy as np
 
 from repro.congest.ledger import RoundLedger
+from repro.core.result import Attribution
 from repro.graphs.graph import Graph
 
-Clique = FrozenSet[int]
 
+@dataclass
+class LightListingOutcome(Attribution):
+    """Output of the light-node K4 listing for one cluster: each row a
+    K4 and its owner the light node that lists it."""
 
-@dataclass(frozen=True)
-class LightListingOutcome:
-    """Output of the light-node K4 listing for one cluster."""
-
-    listed: Dict[int, Set[Clique]]
     rounds: float
-    cliques_found: int
 
 
 def light_node_k4_listing(
@@ -51,15 +50,14 @@ def light_node_k4_listing(
     Rounds = 2 · max over C-light v of g_{v,C} (announcements plus the
     answer bits, every edge of v working in parallel).
     """
-    listed: Dict[int, Set[Clique]] = {}
+    owners: List[int] = []
+    rows: List[List[int]] = []
     worst_g = 0
-    found = 0
     for v in sorted(light):
         cluster_neighbors = sorted(u for u in graph.neighbors(v) if u in cluster_nodes)
-        if len(cluster_neighbors) < 2:
-            worst_g = max(worst_g, len(cluster_neighbors))
-            continue
         worst_g = max(worst_g, len(cluster_neighbors))
+        if len(cluster_neighbors) < 2:
+            continue
         outside_neighbors = [
             x for x in graph.neighbors(v) if x not in cluster_nodes and x != v
         ]
@@ -70,12 +68,14 @@ def light_node_k4_listing(
                     continue
                 for v_prime in outside_neighbors:
                     if v_prime in u_adjacency and graph.has_edge(w, v_prime):
-                        clique = frozenset((u, w, v, v_prime))
-                        if len(clique) == 4:
-                            listed.setdefault(v, set()).add(clique)
-                            found += 1
+                        row = sorted({u, w, v, v_prime})
+                        if len(row) == 4:
+                            owners.append(v)
+                            rows.append(row)
     return LightListingOutcome(
-        listed=listed, rounds=2.0 * worst_g, cliques_found=found
+        owners=np.asarray(owners, dtype=np.int64),
+        rows=np.asarray(rows, dtype=np.int64).reshape(-1, 4),
+        rounds=2.0 * worst_g,
     )
 
 
@@ -84,7 +84,7 @@ def sequential_light_phase(
     clusters: List[Tuple[FrozenSet[int], FrozenSet[int]]],
     ledger: RoundLedger,
     phase: str,
-) -> Dict[int, Set[Clique]]:
+) -> Attribution:
     """Run the light-node listing cluster by cluster (sequentially).
 
     ``clusters`` is a list of (cluster_nodes, light) pairs.  The per-
@@ -93,16 +93,15 @@ def sequential_light_phase(
     clusters too, so the paper schedules clusters one after another
     (O(n^{1−δ}) of them, each O(n^{d−1/3}) rounds).
     """
-    listed: Dict[int, Set[Clique]] = {}
-    total_rounds = 0.0
-    total_found = 0
-    for cluster_nodes, light in clusters:
-        outcome = light_node_k4_listing(graph, cluster_nodes, light)
-        total_rounds += outcome.rounds
-        total_found += outcome.cliques_found
-        for node, cliques in outcome.listed.items():
-            listed.setdefault(node, set()).update(cliques)
+    outcomes = [
+        light_node_k4_listing(graph, cluster_nodes, light)
+        for cluster_nodes, light in clusters
+    ]
+    listed = Attribution.joined(outcomes, 4)
     ledger.charge(
-        phase, total_rounds, clusters=len(clusters), cliques_found=total_found
+        phase,
+        sum((outcome.rounds for outcome in outcomes), 0.0),
+        clusters=len(clusters),
+        cliques_found=len(listed.owners),
     )
     return listed

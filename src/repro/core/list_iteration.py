@@ -17,40 +17,32 @@ CONGEST cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Set
+from typing import Dict, List, Set
 
 import numpy as np
 
 from repro.congest.ledger import RoundLedger
 from repro.core.arb_list import ArbListState, arb_list
 from repro.core.params import AlgorithmParameters
-from repro.graphs.cliques import cliques_touching_edges, enumerate_cliques
+from repro.core.result import Attribution
+from repro.graphs.cliques import clique_table, rows_touching_edges
 from repro.graphs.graph import Edge, Graph
 from repro.graphs.orientation import Orientation
 
-Clique = FrozenSet[int]
-
 
 @dataclass
-class ListOutcome:
+class ListOutcome(Attribution):
     """Result of one LIST call (Theorem 2.8).
 
     ``es_edges`` / ``es_orientation`` are the Ẽs the caller recurses on;
-    every Kp of the input graph with an edge outside Ẽs is in ``listed``.
+    every Kp of the input graph with an edge outside Ẽs is a row of
+    ``rows``, attributed to ``owners``.
     """
 
-    listed: Dict[int, Set[Clique]]
     es_edges: Set[Edge]
     es_orientation: Orientation
     iterations: int
     stats: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def cliques(self) -> Set[Clique]:
-        result: Set[Clique] = set()
-        for cliques in self.listed.values():
-            result |= cliques
-        return result
 
 
 def list_once(
@@ -84,7 +76,7 @@ def list_once(
         arboricity=arboricity,
         threshold=threshold,
     )
-    listed: Dict[int, Set[Clique]] = {}
+    listed: List[Attribution] = []
     budget = params.arb_iteration_budget(n)
     iterations = 0
     er_trace = [len(state.er_edges)]
@@ -94,8 +86,7 @@ def list_once(
         outcome = arb_list(
             state, params, rng, ledger, phase_prefix=f"{phase_prefix}/arb[{iterations}]"
         )
-        for member, cliques in outcome.listed.items():
-            listed.setdefault(member, set()).update(cliques)
+        listed.append(outcome)
         iterations += 1
         er_trace.append(len(state.er_edges))
         progressed = len(state.er_edges) < er_before or outcome.goal_edges
@@ -103,10 +94,13 @@ def list_once(
             break
 
     if state.er_edges:
-        _fallback_broadcast(state, params, listed, ledger, f"{phase_prefix}/fallback")
+        listed.append(
+            _fallback_broadcast(state, params, ledger, f"{phase_prefix}/fallback")
+        )
 
-    return ListOutcome(
-        listed=listed,
+    return ListOutcome.joined(
+        listed,
+        params.p,
         es_edges=state.es_edges,
         es_orientation=state.es_orientation,
         iterations=iterations,
@@ -123,10 +117,9 @@ def list_once(
 def _fallback_broadcast(
     state: ArbListState,
     params: AlgorithmParameters,
-    listed: Dict[int, Set[Clique]],
     ledger: RoundLedger,
     phase: str,
-) -> None:
+) -> Attribution:
     """Discharge leftover Êr obligations by direct neighborhood broadcast.
 
     Every node broadcasts its remaining out-edges to all neighbors; each
@@ -138,11 +131,10 @@ def _fallback_broadcast(
     current = state.current_graph()
     rounds = 2.0 * max(1, state.orientation.max_out_degree)
     ledger.charge(phase, rounds, er_edges=len(state.er_edges))
-    remaining_cliques = cliques_touching_edges(
-        enumerate_cliques(current, params.p), state.er_edges
-    )
-    for clique in remaining_cliques:
-        listed.setdefault(min(clique), set()).add(clique)
+    table = clique_table(current, params.p, backend="auto").rows
+    rows = table[rows_touching_edges(table, state.er_edges, state.n)]
     # All Êr obligations fulfilled; those edges retire from the graph.
     state.er_edges = set()
     state.orientation = state.orientation.restricted_to(state.es_edges)
+    # Rows ascend, so column 0 is each clique's minimum member: its lister.
+    return Attribution(owners=rows[:, 0], rows=rows)

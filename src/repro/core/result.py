@@ -11,14 +11,54 @@ never builds a frozenset unless the caller asks.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.congest.ledger import RoundLedger
-from repro.graphs.table import CliqueTable, frozenset_rows
+from repro.graphs.table import CliqueTable, frozenset_rows, materialize_rows
 
 Clique = FrozenSet[int]
+
+
+@dataclass
+class Attribution:
+    """Columnar listing output: row ``i`` of ``rows`` (a ``(c, p)``
+    integer matrix, members ascending) was output by node ``owners[i]``.
+
+    The Theorem 1.1/1.2 pipeline carries this pair from the in-cluster
+    listing up to :meth:`ListingResult.attribute_table`; each of its
+    outcome layers extends it.  Layers merge by concatenation, so a
+    clique one node lists in two ARB-LIST iterations appears twice —
+    :class:`ListingResult` dedupes when it builds its views.  The
+    ``listed`` / ``cliques`` views serve tests and reports, never the
+    driver path.
+    """
+
+    owners: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def joined(cls, parts: Sequence["Attribution"], p: int, **fields):
+        """A ``cls`` holding the rows of ``parts`` in order, plus ``fields``."""
+        owners = [part.owners for part in parts] or [np.empty(0, dtype=np.int64)]
+        rows = [part.rows for part in parts] or [np.empty((0, p), dtype=np.int64)]
+        return cls(owners=np.concatenate(owners), rows=np.concatenate(rows), **fields)
+
+    @property
+    def listed(self) -> Dict[int, np.ndarray]:
+        """node -> the ``(c_node, p)`` rows it output (one argsort + split)."""
+        order = np.argsort(self.owners, kind="stable")
+        nodes, starts = np.unique(self.owners[order], return_index=True)
+        return dict(zip(nodes.tolist(), np.split(self.rows[order], starts[1:])))
+
+    @property
+    def cliques(self) -> Set[Clique]:
+        return materialize_rows(self.rows)
+
+    def cliques_of(self, node: int) -> Set[Clique]:
+        return materialize_rows(self.rows[self.owners == node])
 
 
 class ListingResult:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -48,7 +48,8 @@ from repro.core.partition import (
     responsible_index_array,
     responsible_new_id,
 )
-from repro.graphs.cliques import enumerate_cliques
+from repro.core.result import Attribution
+from repro.graphs.cliques import enumerate_cliques, rows_touching_edges
 from repro.graphs.csr import clique_table_from_edge_array
 from repro.graphs.graph import Edge, Graph, canonical_edge
 
@@ -56,31 +57,23 @@ Clique = FrozenSet[int]
 
 
 @dataclass
-class SparsityAwareOutcome:
+class SparsityAwareOutcome(Attribution):
     """Output of the in-cluster listing step.
 
     Attributes
     ----------
-    listed:
-        member node -> cliques it outputs (each clique attributed to the
-        member owning its part multiset).
+    owners / rows:
+        Each listed clique (a row) and the member that outputs it — the
+        member owning the clique's part multiset.
     partition_rounds / learning_rounds:
         Theorem 2.4 charges of the two communication steps.
     stats:
         Measured loads (max send/recv words, edges known, parts).
     """
 
-    listed: Dict[int, Set[Clique]]
     partition_rounds: float
     learning_rounds: float
     stats: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def cliques(self) -> Set[Clique]:
-        result: Set[Clique] = set()
-        for cliques in self.listed.values():
-            result |= cliques
-        return result
 
 
 def sparsity_aware_listing(
@@ -184,25 +177,27 @@ def sparsity_aware_listing(
     # -- Step 4: listing.  Enumerate once over the cluster-known edge set
     # and attribute each goal clique to the member that lists it.
     known_graph = Graph(n, all_edges)
-    listed: Dict[int, Set[Clique]] = {}
+    owners: List[int] = []
+    rows: List[List[int]] = []
     goal = set(goal_edges)
     for clique in enumerate_cliques(known_graph, p):
         if not _touches_goal(clique, goal):
             continue
         part_multiset = [partition.part_of[v] for v in sorted(clique)]
         new_id = responsible_new_id(part_multiset, s, p)
-        member = members[new_id - 1]
-        listed.setdefault(member, set()).add(clique)
+        owners.append(members[new_id - 1])
+        rows.append(sorted(clique))
 
     stats = {
         "parts": float(s),
         "known_edges": float(len(all_edges)),
         "max_send_words": float(max(send_load.values(), default=0)),
         "max_recv_words": float(max(recv_load.values(), default=0)),
-        "cliques_listed": float(sum(len(c) for c in listed.values())),
+        "cliques_listed": float(len(owners)),
     }
     return SparsityAwareOutcome(
-        listed=listed,
+        owners=np.asarray(owners, dtype=np.int64),
+        rows=np.asarray(rows, dtype=np.int64).reshape(-1, p),
         partition_rounds=partition_rounds,
         learning_rounds=learning_rounds,
         stats=stats,
@@ -307,8 +302,6 @@ def _sparsity_aware_batch(
 
     # -- Step 4: list the learned subgraph, filter to goal-touching rows,
     # attribute each row to the member owning its part multiset.
-    listed: Dict[int, Set[Clique]] = {}
-    cliques_listed = 0
     if plane in ("parallel", "dist"):
         # Single plane→executor seam (repro.core.config): honor an
         # explicit plane override against the params' configured one.
@@ -316,37 +309,21 @@ def _sparsity_aware_batch(
         table = executor.clique_table(known, p)
     else:
         table = clique_table_from_edge_array(known, p)
-    if table.shape[0] and goal_edges:
-        goal_keys = np.sort(
-            np.asarray([u * n + v for u, v in goal_edges], dtype=np.int64)
-        )
-        touches = np.zeros(table.shape[0], dtype=bool)
-        for i in range(p):
-            for j in range(i + 1, p):
-                enc = table[:, i] * n + table[:, j]  # rows ascend: u < v
-                idx = np.searchsorted(goal_keys, enc)
-                np.logical_or(
-                    touches,
-                    (idx < goal_keys.size)
-                    & (goal_keys[np.minimum(idx, goal_keys.size - 1)] == enc),
-                    out=touches,
-                )
-        kept = table[touches]
-        if kept.shape[0]:
-            new_index = responsible_index_array(part_arr[kept], s)
-            for member_index, row in zip(new_index.tolist(), kept.tolist()):
-                listed.setdefault(members[member_index], set()).add(frozenset(row))
-            cliques_listed = kept.shape[0]
+    kept = table[rows_touching_edges(table, goal_edges, n)]
+    owners = np.asarray(members, dtype=np.int64)[
+        responsible_index_array(part_arr[kept], s)
+    ]
 
     stats = {
         "parts": float(s),
         "known_edges": float(known.shape[0]),
         "max_send_words": float(max_send),
         "max_recv_words": float(max_recv),
-        "cliques_listed": float(cliques_listed),
+        "cliques_listed": float(kept.shape[0]),
     }
     return SparsityAwareOutcome(
-        listed=listed,
+        owners=owners,
+        rows=kept,
         partition_rounds=partition_rounds,
         learning_rounds=learning_rounds,
         stats=stats,

@@ -7,9 +7,11 @@ import pytest
 
 from repro.graphs.cliques import (
     cliques_containing_edge,
+    clique_table,
     cliques_touching_edges,
     count_cliques,
     enumerate_cliques,
+    rows_touching_edges,
     triangles,
 )
 from repro.graphs.generators import complete_graph, cycle_graph, erdos_renyi, planted_cliques
@@ -114,6 +116,20 @@ class TestFilters:
     def test_touching_empty_edges(self):
         g = complete_graph(4)
         assert cliques_touching_edges(enumerate_cliques(g, 3), []) == set()
+
+    @pytest.mark.parametrize("p", [3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_touching_edges_matches_set_filter(self, p, seed):
+        g = erdos_renyi(30, 0.4, seed=seed)
+        edges = sorted(g.edges())[seed::3]
+        # Either endpoint order names the same edge.
+        edges = [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(edges)]
+        table = clique_table(g, p)
+        kept = table.rows[rows_touching_edges(table.rows, edges, g.num_nodes)]
+        assert {frozenset(row) for row in kept.tolist()} == cliques_touching_edges(
+            enumerate_cliques(g, p), edges
+        )
+        assert not rows_touching_edges(table.rows, [], g.num_nodes).any()
 
     def test_triangles_wrapper(self, triangle):
         assert triangles(triangle) == {frozenset((0, 1, 2))}

@@ -26,7 +26,7 @@ class TestLightNodeListing:
         g = k4_with_two_outside()
         outcome = light_node_k4_listing(g, frozenset(range(4)), frozenset({4, 5}))
         expected = frozenset({0, 1, 4, 5})
-        assert expected in outcome.listed.get(4, set()) | outcome.listed.get(5, set())
+        assert expected in outcome.cliques_of(4) | outcome.cliques_of(5)
 
     def test_rounds_track_cluster_degree(self):
         g = k4_with_two_outside()
@@ -52,8 +52,8 @@ class TestLightNodeListing:
         )
         outcome = light_node_k4_listing(g, cluster, light)
         truth = enumerate_cliques(g, 4)
-        for cliques in outcome.listed.values():
-            assert cliques <= truth
+        for node in outcome.listed:
+            assert outcome.cliques_of(node) <= truth
 
 
 class TestSequentialPhase:
@@ -73,7 +73,7 @@ class TestSequentialPhase:
         listed = sequential_light_phase(
             g, [(frozenset(range(4)), frozenset({4, 5}))], ledger, "light"
         )
-        assert frozenset({0, 1, 4, 5}) in set().union(*listed.values())
+        assert frozenset({0, 1, 4, 5}) in listed.cliques
 
 
 class TestEndToEndK4:

@@ -21,6 +21,11 @@ from repro.workloads import available_workloads, create_workload
 
 FAMILIES = sorted(available_workloads())
 SEEDS = (0, 1, 2)
+#: (family, seed) instances at n=40 where p=4 runs LIST at least once
+#: (at p=3 none of the families does; caveman seed 2 peels away first).
+CLUSTER_PIPELINE_AT_P4 = {
+    ("er", 0), ("er", 1), ("er", 2), ("caveman", 0), ("caveman", 1),
+}
 
 
 def ledger_rows(result):
@@ -105,15 +110,18 @@ class TestDriverParity:
         assert batch.per_node == obj.per_node
         assert ledger_rows(batch) == ledger_rows(obj)
 
+    @pytest.mark.parametrize("p", [3, 4])
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_congest_driver(self, family, seed):
+    def test_congest_driver(self, family, seed, p):
         g = create_workload(family).instance(40, seed=seed)
-        batch = list_cliques_congest(g, 3, seed=seed, plane="batch")
-        obj = list_cliques_congest(g, 3, seed=seed, plane="object")
-        assert batch.cliques == obj.cliques == enumerate_cliques(g, 3)
+        batch = list_cliques_congest(g, p, seed=seed, plane="batch")
+        obj = list_cliques_congest(g, p, seed=seed, plane="object")
+        assert batch.cliques == obj.cliques == enumerate_cliques(g, p)
         assert batch.per_node == obj.per_node
         assert ledger_rows(batch) == ledger_rows(obj)
+        if p == 4 and (family, seed) in CLUSTER_PIPELINE_AT_P4:
+            assert batch.stats["outer_iterations"] >= 1
 
     @pytest.mark.parametrize("p", [4, 5])
     def test_higher_p_parity(self, p):

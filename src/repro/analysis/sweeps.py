@@ -32,7 +32,7 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -158,7 +158,10 @@ class SweepSpec:
         Check every run against sequential ground-truth enumeration.
     algo_overrides:
         Extra :class:`~repro.core.params.AlgorithmParameters` fields
-        (e.g. ``{"stop_scale": 0.5}``) applied to every congest run.
+        applied to every run, e.g. ``{"stop_scale": 0.5}``, or
+        ``{"execution": ExecutionConfig(plane="object")}`` for a
+        per-cell routing plane or fault seam (its repr feeds the cache
+        key).
     materialize:
         When ``True``, count/verify runs through materialized python
         frozensets (the legacy path).  Default ``False`` keeps every
@@ -259,30 +262,25 @@ def execute_run(spec: RunSpec) -> Dict[str, Any]:
     """Run one grid cell and return its JSON-serializable result row."""
     workload = create_workload(spec.workload, **dict(spec.params))
     graph = workload.instance(spec.n, seed=spec.seed)
-    start = time.perf_counter()
     if spec.model == "congest":
-        params = default_parameters(spec.p, spec.variant)
-        if spec.extra:
-            params = params.with_(**dict(spec.extra))
-        if spec.topology is not None:
-            params = params.with_(topology=spec.topology)
-        result = list_cliques_congest(graph, spec.p, params=params, seed=spec.seed)
-        variant = params.variant
-        theory = _congest_theory(spec.n, spec.p, variant)
+        params, driver = default_parameters(spec.p, spec.variant), list_cliques_congest
     elif spec.model in ("congested-clique", "congested_clique"):
-        params = AlgorithmParameters(p=spec.p)
-        if spec.extra:
-            params = params.with_(**dict(spec.extra))
-        if spec.topology is not None:
-            params = params.with_(topology=spec.topology)
-        result = list_cliques_congested_clique(
-            graph, spec.p, params=params, seed=spec.seed
-        )
-        variant = "-"
-        theory = bounds.this_paper_congested_clique(spec.n, spec.p, graph.num_edges)
+        params, driver = AlgorithmParameters(p=spec.p), list_cliques_congested_clique
     else:
         raise ValueError(f"unknown model {spec.model!r}")
+    if spec.extra:
+        params = params.with_(**dict(spec.extra))
+    if spec.topology is not None:
+        params = params.with_(execution=params.execution.with_(topology=spec.topology))
+    start = time.perf_counter()
+    result = driver(graph, spec.p, params=params, seed=spec.seed)
     wall = time.perf_counter() - start
+    if driver is list_cliques_congest:
+        variant = params.variant
+        theory = _congest_theory(spec.n, spec.p, variant)
+    else:
+        variant = "-"
+        theory = bounds.this_paper_congested_clique(spec.n, spec.p, graph.num_edges)
     if spec.verify:
         if spec.materialize:
             # Legacy path: verify against a materialized frozenset truth.
@@ -484,19 +482,7 @@ def resolve_jobs(jobs: int, num_tasks: int) -> int:
 def _cell_payload(cell: RunSpec) -> dict:
     """A ``RunSpec`` as the plain field dict the ``sweep_cell`` remote
     task rebuilds (see :func:`repro.dist.registry.sweep_cell`)."""
-    return {
-        "workload": cell.workload,
-        "params": cell.params,
-        "n": cell.n,
-        "p": cell.p,
-        "variant": cell.variant,
-        "model": cell.model,
-        "seed": cell.seed,
-        "verify": cell.verify,
-        "extra": cell.extra,
-        "materialize": cell.materialize,
-        "topology": cell.topology,
-    }
+    return {f.name: getattr(cell, f.name) for f in fields(cell)}
 
 
 def run_sweep(
@@ -517,7 +503,8 @@ def run_sweep(
         Worker processes for the uncached cells; ``1`` runs inline in
         this process, ``0`` picks an automatic level.  Note: pool
         workers are daemonic, so cells that request the parallel
-        routing plane (``algo_overrides={"plane": "parallel", ...}``)
+        routing plane (an ``algo_overrides["execution"]`` with
+        ``plane="parallel"``)
         fall back to inline shard execution inside a ``jobs > 1``
         fan-out — run such sweeps with ``jobs=1`` to give the shard
         executor the machine.

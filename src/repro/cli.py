@@ -467,27 +467,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     args.distributed, args.hosts = False, ""
     config = execution_config_from_args(args)
     algo_overrides = {}
-    if config.faults is not None:
-        # Reaches AlgorithmParameters.faults through RunSpec.extra; the
-        # model's repr feeds the cache key, so faulted and fault-free
-        # grids never share rows.
-        algo_overrides["faults"] = config.faults
-    if config.plane != DEFAULT_PLANE:
-        # The parallel plane is charge- and output-identical to batch;
-        # workers only moves the numpy work onto a process pool.
-        algo_overrides.update({"plane": config.plane, "workers": config.workers})
-        if config.plane == "parallel" and hosts is None and args.jobs != 1:
-            # Inside a --jobs fan-out every cell runs in a daemonic pool
-            # worker, where the shard executor must fall back to inline
-            # execution — the requested workers would silently do
-            # nothing.  Give the machine to the shard executor instead.
-            print(
-                f"--workers {config.workers} requires --jobs 1 "
-                f"(cells in a --jobs pool cannot fork shard workers); "
-                f"forcing --jobs 1",
-                file=sys.stderr,
-            )
-            args.jobs = 1
+    if config.plane != DEFAULT_PLANE or config.faults is not None:
+        # Reaches AlgorithmParameters.execution through RunSpec.extra;
+        # its repr feeds the cache key, so object-plane, faulted and
+        # default grids never share rows (and a default grid's key is
+        # unchanged).  The parallel plane is charge- and output-
+        # identical to batch; workers only moves the numpy work onto a
+        # process pool.
+        algo_overrides["execution"] = ExecutionConfig(
+            plane=config.plane, workers=config.workers, faults=config.faults
+        )
+    if config.plane == "parallel" and hosts is None and args.jobs != 1:
+        # Inside a --jobs fan-out every cell runs in a daemonic pool
+        # worker, where the shard executor must fall back to inline
+        # execution — the requested workers would silently do
+        # nothing.  Give the machine to the shard executor instead.
+        print(
+            f"--workers {config.workers} requires --jobs 1 "
+            f"(cells in a --jobs pool cannot fork shard workers); "
+            f"forcing --jobs 1",
+            file=sys.stderr,
+        )
+        args.jobs = 1
     spec = SweepSpec(
         workloads=[(name, overrides.get(name, {})) for name in names],
         sizes=_parse_csv_ints(args.n, "--n"),

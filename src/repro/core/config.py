@@ -20,10 +20,11 @@ place:
 - ``materialize`` — whether verification/clique sets are materialized as
   frozensets (sweep / stream / serve knob).
 
-:class:`~repro.core.params.AlgorithmParameters` composes one of these;
-its legacy ``plane=``/``workers=``/``hosts=``/``faults=``/``cost_model=``
-keyword arguments keep working as deprecation shims that forward into
-the composed config.
+:class:`~repro.core.params.AlgorithmParameters` composes one of these as
+its only execution surface — spell a run as
+``AlgorithmParameters(p, execution=ExecutionConfig(...))``; the listing
+drivers route on ``params.execution.plane`` and resolve their executor
+from the same object.
 """
 
 from __future__ import annotations

@@ -86,7 +86,6 @@ def sparsity_aware_listing(
     ledger: RoundLedger,
     rng: np.random.Generator,
     phase_prefix: str,
-    plane: str = "object",
 ) -> SparsityAwareOutcome:
     """Run §2.4.3 for one cluster.
 
@@ -102,20 +101,20 @@ def sparsity_aware_listing(
     goal_edges:
         The cluster's listing obligation; only cliques containing at
         least one of these are output.
-    plane:
-        ``"batch"`` computes the p²-fan-out loads with ``np.bincount``
-        over edge arrays and lists the learned subgraph through the
-        array kernel — identical charges and outputs, no Python sets.
-        ``"parallel"`` is the batch path with the learned-subgraph
-        listing served by the shard executor (``params.workers``
-        processes over root-edge slices) — same table, same charges.
-        ``"dist"`` serves the same listing from the ``params.hosts``
-        cluster through the identical kernels.
+    params.execution:
+        Its ``plane`` picks the bookkeeping substrate.  The array planes
+        compute the p²-fan-out loads with ``np.bincount`` over edge
+        arrays and list the learned subgraph through the array kernel
+        — identical charges and outputs, no Python sets.  On
+        ``"parallel"`` / ``"dist"`` that listing is served by the shard
+        executor :meth:`~repro.core.config.ExecutionConfig.resolve_executor`
+        returns (``workers`` processes or the ``hosts`` cluster) — same
+        table, same charges.
     """
-    if plane in ARRAY_PLANES:
+    if params.execution.plane in ARRAY_PLANES:
         return _sparsity_aware_batch(
             n, members, owned, goal_edges, params, router, ledger, rng,
-            phase_prefix, plane,
+            phase_prefix,
         )
     members = sorted(members)
     k = len(members)
@@ -214,13 +213,12 @@ def _sparsity_aware_batch(
     ledger: RoundLedger,
     rng: np.random.Generator,
     phase_prefix: str,
-    plane: str = "batch",
 ) -> SparsityAwareOutcome:
     """§2.4.3 on the array planes: fan-out loads via ``np.bincount`` over
     edge arrays, learned-subgraph listing via the array kernel (sharded
-    across the executor's workers on ``plane="parallel"``).  The rng
-    draw, every charged round and every stat are identical to the object
-    path — only the bookkeeping substrate changes."""
+    across the run's shard executor on the parallel and dist planes).
+    The rng draw, every charged round and every stat are identical to
+    the object path — only the bookkeeping substrate changes."""
     members = sorted(members)
     k = len(members)
     p = params.p
@@ -302,10 +300,8 @@ def _sparsity_aware_batch(
 
     # -- Step 4: list the learned subgraph, filter to goal-touching rows,
     # attribute each row to the member owning its part multiset.
-    if plane in ("parallel", "dist"):
-        # Single plane→executor seam (repro.core.config): honor an
-        # explicit plane override against the params' configured one.
-        executor = params.execution.with_(plane=plane).resolve_executor()
+    executor = params.execution.resolve_executor()
+    if executor is not None:
         table = executor.clique_table(known, p)
     else:
         table = clique_table_from_edge_array(known, p)

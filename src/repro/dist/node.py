@@ -141,7 +141,7 @@ class _FrameNode(Node):
 
     def __init__(self) -> None:
         super().__init__()
-        self._tag = protocol.default_codec_tag()
+        self._tag = protocol.PICKLE_TAG
 
     # Subclasses provide the byte streams.
     def _reader(self):  # pragma: no cover - abstract-ish

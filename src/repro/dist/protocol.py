@@ -5,22 +5,12 @@ a subprocess stdio pipe — is one *frame*:
 
 ``[8-byte big-endian payload length] [1-byte codec tag] [payload]``
 
-The payload is one encoded message tree (tuples/lists, dicts with string
-keys, scalars, ``bytes`` and numpy arrays).  Two codecs speak the same
-tree shape:
-
-- ``b"P"`` — :mod:`pickle` (always available; the default).  Arrays ride
-  as ordinary pickled ``ndarray`` objects.
-- ``b"M"`` — :mod:`msgpack`, when importable.  Arrays are packed as an
-  ExtType carrying ``(dtype, shape, bytes)``; tuples decode as lists
-  (the dispatch layer never relies on the distinction).
-
-The codec tag travels per-frame, so a pickle-speaking driver can talk to
-a worker that would prefer msgpack and vice versa — each side *replies*
-in the codec of the request it received, and decodes whatever tag
-arrives.  :func:`default_codec_tag` picks msgpack when the import
-succeeds (cross-version-safe, no arbitrary code execution on decode)
-and falls back to pickle otherwise.
+The payload is one :mod:`pickle`-encoded message tree (tuples/lists,
+dicts with string keys, scalars, ``bytes`` and numpy arrays — arrays
+ride as ordinary pickled ``ndarray`` objects).  The codec tag is always
+``b"P"``; it travels per-frame, each side replies in the tag of the
+request it received, and any other tag (an old peer's ``b"M"``
+included) is a typed :class:`~repro.dist.errors.ProtocolError`.
 
 Message shapes (tuples on the wire, positional):
 
@@ -42,14 +32,7 @@ import pickle
 import struct
 from typing import Any, BinaryIO, Tuple
 
-import numpy as np
-
 from repro.dist.errors import ProtocolError
-
-try:  # optional fast/portable codec; the container may not ship it
-    import msgpack as _msgpack
-except ImportError:  # pragma: no cover - exercised where msgpack exists
-    _msgpack = None
 
 #: Frame header: payload byte length (excludes header and codec tag).
 HEADER = struct.Struct(">Q")
@@ -59,56 +42,15 @@ HEADER = struct.Struct(">Q")
 MAX_FRAME_BYTES = 1 << 34
 
 PICKLE_TAG = b"P"
-MSGPACK_TAG = b"M"
-
-#: ExtType code for numpy arrays on the msgpack codec.
-_ND_EXT = 42
-
-
-def msgpack_available() -> bool:
-    return _msgpack is not None
-
-
-def default_codec_tag() -> bytes:
-    """The codec new connections lead with: msgpack when importable."""
-    return MSGPACK_TAG if _msgpack is not None else PICKLE_TAG
 
 
 # ----------------------------------------------------------------------
-# Codecs
+# Codec
 # ----------------------------------------------------------------------
-def _msgpack_default(obj):
-    if isinstance(obj, np.ndarray):
-        array = np.ascontiguousarray(obj)
-        inner = _msgpack.packb(
-            (str(array.dtype), list(array.shape), array.tobytes()),
-            use_bin_type=True,
-        )
-        return _msgpack.ExtType(_ND_EXT, inner)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    raise TypeError(f"cannot msgpack-encode {type(obj).__name__}")
-
-
-def _msgpack_ext_hook(code, data):
-    if code == _ND_EXT:
-        dtype, shape, raw = _msgpack.unpackb(data, raw=False)
-        return np.frombuffer(raw, dtype=np.dtype(dtype)).reshape(shape).copy()
-    return _msgpack.ExtType(code, data)  # pragma: no cover - no other exts
-
-
 def encode(message: Any, tag: bytes) -> bytes:
     """Encode one message tree under the given codec tag."""
     if tag == PICKLE_TAG:
         return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    if tag == MSGPACK_TAG:
-        if _msgpack is None:
-            raise ProtocolError("msgpack codec requested but not importable")
-        return _msgpack.packb(
-            message, default=_msgpack_default, use_bin_type=True
-        )
     raise ProtocolError(f"unknown codec tag {tag!r}")
 
 
@@ -116,12 +58,6 @@ def decode(payload: bytes, tag: bytes) -> Any:
     """Decode one payload under the given codec tag."""
     if tag == PICKLE_TAG:
         return pickle.loads(payload)
-    if tag == MSGPACK_TAG:
-        if _msgpack is None:
-            raise ProtocolError("msgpack frame received but codec not importable")
-        return _msgpack.unpackb(
-            payload, ext_hook=_msgpack_ext_hook, raw=False, strict_map_key=False
-        )
     raise ProtocolError(f"unknown codec tag {tag!r}")
 
 

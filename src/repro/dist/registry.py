@@ -62,29 +62,11 @@ def sweep_cell(refs, payload: dict) -> dict:
     """Execute one sweep grid cell remotely; returns its result row.
 
     ``payload`` is the :class:`~repro.analysis.sweeps.RunSpec` as a
-    field dict (tuple fields may arrive as lists — the msgpack codec
-    erases the distinction — so they are re-frozen here).  The heavy
-    imports happen inside the call: worker boot stays fast and the
-    parallel-plane task imports above stay usable without the analysis
-    stack.
+    field dict.  The heavy imports happen inside the call: worker boot
+    stays fast and the parallel-plane task imports above stay usable
+    without the analysis stack.
     """
     del refs  # sweep cells carry no array inputs
     from repro.analysis.sweeps import RunSpec, execute_run
 
-    def _freeze_items(items):
-        return tuple((str(k), v) for k, v in items)
-
-    spec = RunSpec(
-        workload=payload["workload"],
-        params=_freeze_items(payload["params"]),
-        n=int(payload["n"]),
-        p=int(payload["p"]),
-        variant=payload["variant"],
-        model=payload["model"],
-        seed=int(payload["seed"]),
-        verify=bool(payload["verify"]),
-        extra=_freeze_items(payload["extra"]),
-        materialize=bool(payload["materialize"]),
-        topology=payload.get("topology"),
-    )
-    return execute_run(spec)
+    return execute_run(RunSpec(**payload))

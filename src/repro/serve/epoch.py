@@ -175,33 +175,31 @@ class EpochSnapshot:
         """A full CONGESTED CLIQUE listing run over *this epoch's* graph,
         the local-listing tail served from the epoch's frozen table.
 
-        Lazy and cached per normalized ``(p, seed, plane)`` — the first
-        reader of an epoch pays the simulated run, later readers (and
-        the per-node :meth:`learned` queries) share it.
+        ``plane`` routes the run through its
+        :class:`~repro.core.config.ExecutionConfig` (``None`` → the
+        default).  Lazy and cached per normalized ``(p, seed, plane)`` —
+        the first reader of an epoch pays the simulated run, later
+        readers (and the per-node :meth:`learned` queries) share it.
         """
-        from repro.congest.batch import DEFAULT_PLANE, PLANES
+        from repro.core.config import ExecutionConfig
 
-        if plane is None:
-            plane = DEFAULT_PLANE
-        if plane not in PLANES:
-            raise ValueError(
-                f"unknown routing plane {plane!r}; use one of {PLANES}"
-            )
+        execution = ExecutionConfig() if plane is None else ExecutionConfig(plane=plane)
         if p not in self._tables:
             raise UntrackedSizeError(p, self._tables)
-        key = (p, seed, plane)
+        key = (p, seed, execution.plane)
         with self._lock:
             result = self._results.get(key)
             if result is None:
                 from repro.core.congested_clique_listing import (
                     list_cliques_congested_clique,
                 )
+                from repro.core.params import AlgorithmParameters
 
                 result = list_cliques_congested_clique(
                     self.graph(),
                     p,
+                    params=AlgorithmParameters(p=p, execution=execution),
                     seed=seed,
-                    plane=plane,
                     precomputed_table=self._tables[p],
                 )
                 self._results[key] = result

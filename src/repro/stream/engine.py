@@ -461,37 +461,34 @@ class QueryEngine:
         from the stream engine's maintained K_p table — see
         ``precomputed_table`` in
         :func:`~repro.core.congested_clique_listing.list_cliques_congested_clique`.
-        Results are cached per ``(p, seed, plane)`` with the plane
-        *normalized first*: ``plane=None`` resolves to the same default
-        the listing driver resolves it to
-        (:data:`~repro.congest.batch.DEFAULT_PLANE`), so the two
-        spellings share one cache entry instead of aliasing into
-        duplicates that miss each other's hits.  Unlike counts and
-        clique sets, a listing run's ledger depends on the whole graph
-        (m, measured loads, orientation), so these entries are dropped
-        on *any* structural change, not only when the K_p delta is
-        non-empty.
+        ``plane`` becomes the run's
+        :class:`~repro.core.config.ExecutionConfig` (``None`` → its
+        default), which both routes the run and resolves its shard
+        executor.  Results are cached per ``(p, seed, plane)`` with the
+        plane *normalized first* through that config, so ``None`` and
+        :data:`~repro.congest.batch.DEFAULT_PLANE` share one cache entry
+        instead of aliasing into duplicates that miss each other's
+        hits.  Unlike counts and clique sets, a listing run's ledger
+        depends on the whole graph (m, measured loads, orientation), so
+        these entries are dropped on *any* structural change, not only
+        when the K_p delta is non-empty.
         """
-        from repro.congest.batch import DEFAULT_PLANE, PLANES
+        from repro.core.config import ExecutionConfig
 
-        if plane is None:
-            plane = DEFAULT_PLANE
-        if plane not in PLANES:
-            raise ValueError(
-                f"unknown routing plane {plane!r}; use one of {PLANES}"
-            )
-        key = (p, seed, plane)
+        execution = ExecutionConfig() if plane is None else ExecutionConfig(plane=plane)
+        key = (p, seed, execution.plane)
         if key in self._results:
             self.hits += 1
             return self._results[key]
         self.misses += 1
         from repro.core.congested_clique_listing import list_cliques_congested_clique
+        from repro.core.params import AlgorithmParameters
 
         result = list_cliques_congested_clique(
             self.engine.graph(),
             p,
+            params=AlgorithmParameters(p=p, execution=execution),
             seed=seed,
-            plane=plane,
             precomputed_table=self.engine.clique_result(p),
         )
         self._results[key] = result

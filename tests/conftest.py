@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import ExecutionConfig
 from repro.graphs.generators import (
     clustered_graph,
     complete_graph,
@@ -12,6 +13,22 @@ from repro.graphs.generators import (
     planted_cliques,
 )
 from repro.graphs.graph import Graph
+
+
+@pytest.fixture
+def executor_resolutions(monkeypatch):
+    """Spy on :meth:`ExecutionConfig.resolve_executor`: the live list of
+    ``(plane, executor)`` pairs it resolved during the test."""
+    seen = []
+    resolve = ExecutionConfig.resolve_executor
+
+    def spy(config):
+        executor = resolve(config)
+        seen.append((config.plane, executor))
+        return executor
+
+    monkeypatch.setattr(ExecutionConfig, "resolve_executor", spy)
+    return seen
 
 
 @pytest.fixture

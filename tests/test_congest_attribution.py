@@ -23,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.listing import list_cliques_congest
+from repro.core.config import ExecutionConfig
+from repro.core.listing import default_parameters, list_cliques_congest
 from repro.workloads import create_workload
 
 FIXTURE = Path(__file__).parent / "fixtures" / "congest_attribution.json"
@@ -52,7 +53,10 @@ def ledger_rows(result):
 
 def run(family: str, n: int, seed: int, variant: str, plane: str):
     graph = create_workload(family).instance(n, seed=seed)
-    return list_cliques_congest(graph, P, variant=variant, seed=seed, plane=plane)
+    params = default_parameters(P, variant).with_(
+        execution=ExecutionConfig(plane=plane)
+    )
+    return list_cliques_congest(graph, P, params=params, seed=seed)
 
 
 def summarize(result):

@@ -22,6 +22,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.config import ExecutionConfig
 from repro.core.congested_clique_listing import list_cliques_congested_clique
 from repro.core.listing import list_cliques_congest
 from repro.core.params import AlgorithmParameters
@@ -95,7 +96,9 @@ def sorted_listing(result):
 
 
 def dist_params(p, hosts, **kw):
-    return AlgorithmParameters(p=p, plane="dist", hosts=hosts, **kw)
+    return AlgorithmParameters(
+        p=p, execution=ExecutionConfig(plane="dist", hosts=hosts), **kw
+    )
 
 
 def rows_sorted(table):
@@ -162,7 +165,7 @@ class TestProtocol:
         array = np.arange(24, dtype=np.int64).reshape(4, 6)
         stream = io.BytesIO()
         protocol.write_frame(
-            stream, ("ok", {"table": array}), protocol.default_codec_tag()
+            stream, ("ok", {"table": array}), protocol.PICKLE_TAG
         )
         stream.seek(0)
         decoded, _ = protocol.read_frame(stream)
@@ -185,25 +188,16 @@ class TestProtocol:
             protocol.read_frame(io.BytesIO(bogus))
 
     def test_unknown_codec_tag_rejected(self):
-        with pytest.raises(ProtocolError):
-            protocol.encode(("ping",), b"Z")
-        with pytest.raises(ProtocolError):
-            protocol.decode(b"x", b"Z")
-
-    def test_default_codec_matches_availability(self):
-        if protocol.msgpack_available():
-            assert protocol.default_codec_tag() == protocol.MSGPACK_TAG
-        else:
-            assert protocol.default_codec_tag() == protocol.PICKLE_TAG
-
-    @pytest.mark.skipif(
-        not protocol.msgpack_available(), reason="msgpack not installed"
-    )
-    def test_msgpack_array_ext(self):  # pragma: no cover - env-dependent
-        array = np.arange(10, dtype=np.uint32).reshape(2, 5)
-        payload = protocol.encode({"a": array}, protocol.MSGPACK_TAG)
-        decoded = protocol.decode(payload, protocol.MSGPACK_TAG)
-        assert np.array_equal(decoded["a"], array)
+        # b"M" is the retired msgpack codec: a frame from an old peer
+        # must end in a typed ProtocolError.
+        for tag in (b"Z", b"M"):
+            with pytest.raises(ProtocolError):
+                protocol.encode(("ping",), tag)
+            with pytest.raises(ProtocolError):
+                protocol.decode(b"x", tag)
+            frame = protocol.HEADER.pack(1) + tag + b"x"
+            with pytest.raises(ProtocolError):
+                protocol.read_frame(io.BytesIO(frame))
 
 
 # ----------------------------------------------------------------------
@@ -486,10 +480,12 @@ class TestDriverParity:
     def test_congested_clique_driver(self, force_sharding, two_locals, family, seed):
         hosts, _ = two_locals
         g = create_workload(family).instance(48, seed=seed)
-        batch = list_cliques_congested_clique(g, 3, seed=seed, plane="batch")
+        batch = list_cliques_congested_clique(g, 3, seed=seed)
         par = list_cliques_congested_clique(
             g, 3, seed=seed,
-            params=AlgorithmParameters(p=3, plane="parallel", workers=2),
+            params=AlgorithmParameters(
+                p=3, execution=ExecutionConfig(plane="parallel", workers=2)
+            ),
         )
         dist = list_cliques_congested_clique(
             g, 3, seed=seed, params=dist_params(3, hosts)
@@ -504,7 +500,7 @@ class TestDriverParity:
     def test_congest_driver(self, force_sharding, two_locals, family, seed):
         hosts, _ = two_locals
         g = create_workload(family).instance(40, seed=seed)
-        batch = list_cliques_congest(g, 3, seed=seed, plane="batch")
+        batch = list_cliques_congest(g, 3, seed=seed)
         dist = list_cliques_congest(
             g, 3, seed=seed, params=dist_params(3, hosts, variant="generic")
         )
@@ -514,9 +510,10 @@ class TestDriverParity:
 
     def test_degenerate_empty_hosts(self, force_sharding):
         g = create_workload("er").instance(48, seed=0)
-        batch = list_cliques_congested_clique(g, 3, seed=0, plane="batch")
+        batch = list_cliques_congested_clique(g, 3, seed=0)
         dist = list_cliques_congested_clique(
-            g, 3, seed=0, params=AlgorithmParameters(p=3, plane="dist")
+            g, 3, seed=0,
+            params=AlgorithmParameters(p=3, execution=ExecutionConfig(plane="dist")),
         )
         assert sorted_listing(dist) == sorted_listing(batch)
         assert dist.per_node == batch.per_node
@@ -526,7 +523,7 @@ class TestDriverParity:
     def test_higher_p_parity(self, force_sharding, two_locals, p):
         hosts, _ = two_locals
         g = create_workload("er").instance(40, seed=7)
-        batch = list_cliques_congested_clique(g, p, seed=7, plane="batch")
+        batch = list_cliques_congested_clique(g, p, seed=7)
         dist = list_cliques_congested_clique(
             g, p, seed=7, params=dist_params(p, hosts)
         )
@@ -542,7 +539,7 @@ class TestDriverParity:
         register_cluster(hosts, cluster)
         try:
             g = create_workload("er").instance(48, seed=2)
-            batch = list_cliques_congested_clique(g, 3, seed=2, plane="batch")
+            batch = list_cliques_congested_clique(g, 3, seed=2)
             dist = list_cliques_congested_clique(
                 g, 3, seed=2, params=dist_params(3, hosts)
             )
@@ -564,7 +561,7 @@ class TestDriverParity:
         register_cluster(hosts, cluster)
         try:
             g = create_workload("er").instance(48, seed=0)
-            batch = list_cliques_congested_clique(g, 3, seed=0, plane="batch")
+            batch = list_cliques_congested_clique(g, 3, seed=0)
             dist = list_cliques_congested_clique(
                 g, 3, seed=0, params=dist_params(3, hosts)
             )
@@ -581,19 +578,27 @@ class TestDriverParity:
 # ----------------------------------------------------------------------
 class TestParams:
     def test_dist_plane_accepted(self):
-        params = AlgorithmParameters(p=3, plane="dist", hosts=("local",))
-        assert params.hosts == ("local",)
+        params = AlgorithmParameters(
+            p=3, execution=ExecutionConfig(plane="dist", hosts=("local",))
+        )
+        assert params.execution.hosts == ("local",)
 
     def test_hosts_frozen_to_tuple(self):
-        params = AlgorithmParameters(p=3, plane="dist", hosts=["a:1", "b:2"])
-        assert params.hosts == ("a:1", "b:2")
+        params = AlgorithmParameters(
+            p=3, execution=ExecutionConfig(plane="dist", hosts=["a:1", "b:2"])
+        )
+        assert params.execution.hosts == ("a:1", "b:2")
         assert isinstance(hash(params), int)
 
     def test_bad_hosts_rejected(self):
         with pytest.raises(ValueError):
-            AlgorithmParameters(p=3, plane="dist", hosts=("", "x:1"))
+            AlgorithmParameters(
+                p=3, execution=ExecutionConfig(plane="dist", hosts=("", "x:1"))
+            )
         with pytest.raises(ValueError):
-            AlgorithmParameters(p=3, plane="dist", hosts=(7,))
+            AlgorithmParameters(
+                p=3, execution=ExecutionConfig(plane="dist", hosts=(7,))
+            )
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 One frozen object (:class:`repro.core.config.ExecutionConfig`) owns the
 cross-cutting run knobs — plane/workers/hosts, faults, cost model,
 topology, materialization — with :class:`AlgorithmParameters` composing
-it (legacy kwargs as deprecation shims) and the CLI declaring it once
+it as its only execution surface and the CLI declaring it once
 through ``add_execution_args`` / ``execution_config_from_args``.  These
 tests pin the composition rules, the single plane→executor seam, and
 the shared-flag parsing/validation of every subcommand.
@@ -13,7 +13,7 @@ import dataclasses
 
 import pytest
 
-from repro.congest.routing import CostModel, DEFAULT_COST_MODEL
+from repro.congest.routing import DEFAULT_COST_MODEL
 from repro.congest.topology import Topology
 from repro.core.config import ExecutionConfig
 from repro.core.params import AlgorithmParameters
@@ -82,47 +82,35 @@ class TestParamsComposition:
         assert isinstance(params.execution, ExecutionConfig)
         assert params.execution == ExecutionConfig()
 
-    def test_explicit_execution_propagates_to_shims(self):
-        faults = FaultModel(seed=3, drop_rate=0.01)
-        config = ExecutionConfig(
-            plane="parallel", workers=2, faults=faults, topology="ring"
-        )
-        params = AlgorithmParameters(p=3, execution=config)
-        assert params.plane == "parallel"
-        assert params.workers == 2
-        assert params.faults is faults
-        assert params.topology == Topology(kind="ring")
-
-    def test_legacy_kwargs_override_composed_config(self):
-        config = ExecutionConfig(plane="object")
-        params = AlgorithmParameters(p=3, execution=config, workers=4, plane="parallel")
-        assert params.execution.plane == "parallel"
-        assert params.execution.workers == 4
-
     def test_dataclasses_replace_keeps_working(self):
         params = AlgorithmParameters(p=3)
-        replaced = dataclasses.replace(params, plane="object")
-        assert replaced.plane == "object"
-        assert replaced.execution.plane == "object"
+        config = ExecutionConfig(plane="object")
+        replaced = dataclasses.replace(params, execution=config)
+        assert replaced.execution is config
+        assert params.with_(execution=config) == replaced
+        # Replacing another field keeps the composed config.
+        assert dataclasses.replace(replaced, seed=9).execution is config
 
     def test_with_routes_execution_surface_through_config(self):
-        params = AlgorithmParameters(p=3, faults=FaultModel(seed=1, drop_rate=0.01))
-        cleared = params.with_(faults=None)
-        assert cleared.faults is None
+        faulted = ExecutionConfig(faults=FaultModel(seed=1, drop_rate=0.01))
+        params = AlgorithmParameters(p=3, execution=faulted)
+        cleared = params.with_(execution=params.execution.with_(faults=None))
         assert cleared.execution.faults is None
-        cm = CostModel(routing_slack=1.0)
-        tuned = cleared.with_(cost_model=cm, topology="star", materialize=True)
-        assert tuned.cost_model is cm
+        assert params.execution.faults is not None
+        tuned = cleared.with_(
+            execution=cleared.execution.with_(topology="star", materialize=True)
+        )
+        assert tuned.execution.topology == Topology(kind="star")
         assert tuned.execution.materialize is True
-        assert tuned.topology.kind == "star"
         # Non-execution fields still replace normally.
         assert tuned.with_(seed=9).seed == 9
+        assert tuned.with_(seed=9).execution == tuned.execution
 
     def test_validation_delegated_to_config(self):
-        with pytest.raises(ValueError, match="plane"):
-            AlgorithmParameters(p=3, plane="quantum")
-        with pytest.raises(ValueError, match="workers"):
-            AlgorithmParameters(p=3, workers=0)
+        # ExecutionConfig is the only execution surface; its own
+        # test_validation covers bad planes and worker counts.
+        with pytest.raises(TypeError):
+            AlgorithmParameters(p=3, plane="object")
 
 
 class TestCliExecutionParent:

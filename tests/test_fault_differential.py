@@ -21,6 +21,7 @@ budget.  The contract under test:
 import pytest
 
 from repro.congest.errors import CorruptionDetectedError, RetryBudgetExceededError
+from repro.core.config import ExecutionConfig
 from repro.core.congested_clique_listing import list_cliques_congested_clique
 from repro.core.listing import list_cliques_congest
 from repro.core.params import AlgorithmParameters
@@ -41,6 +42,13 @@ BOUNDED_FAULTS = FaultModel(
 )
 
 
+def params_on(plane="batch", faults=None):
+    """p = 3 parameters routed on ``plane`` with ``faults`` attached."""
+    return AlgorithmParameters(
+        p=3, execution=ExecutionConfig(plane=plane, faults=faults)
+    )
+
+
 def ledger_rows(ledger_phases):
     """The full charge record: (name, rounds, stats) per phase."""
     return [(ph.name, ph.rounds, ph.stats) for ph in ledger_phases]
@@ -59,8 +67,10 @@ class TestCongestedCliqueDifferential:
     @pytest.mark.parametrize("plane", ROUTING_PLANES)
     def test_exact_recovery_under_bounded_faults(self, family, seed, plane):
         g = create_workload(family).instance(36, seed=seed)
-        clean = list_cliques_congested_clique(g, 3, seed=seed, plane=plane)
-        params = AlgorithmParameters(p=3, plane=plane, faults=BOUNDED_FAULTS)
+        clean = list_cliques_congested_clique(
+            g, 3, params=params_on(plane), seed=seed
+        )
+        params = params_on(plane, faults=BOUNDED_FAULTS)
         faulted = list_cliques_congested_clique(g, 3, params=params, seed=seed)
 
         # Exactly equal results: counts, sorted listings, attribution.
@@ -82,7 +92,7 @@ class TestCongestedCliqueDifferential:
 
     def test_recovery_rows_are_tagged_and_named(self):
         g = create_workload("er").instance(36, seed=0)
-        params = AlgorithmParameters(p=3, faults=BOUNDED_FAULTS)
+        params = params_on(faults=BOUNDED_FAULTS)
         result = list_cliques_congested_clique(g, 3, params=params, seed=0)
         recovery = [ph for ph in result.ledger.phases() if ph.recovery]
         assert recovery
@@ -94,9 +104,12 @@ class TestCongestedCliqueDifferential:
 
     def test_parallel_plane_recovers_exactly(self):
         g = create_workload("er").instance(36, seed=1)
-        clean = list_cliques_congested_clique(g, 3, seed=1, plane="batch")
+        clean = list_cliques_congested_clique(g, 3, seed=1)
         params = AlgorithmParameters(
-            p=3, plane="parallel", workers=2, faults=BOUNDED_FAULTS
+            p=3,
+            execution=ExecutionConfig(
+                plane="parallel", workers=2, faults=BOUNDED_FAULTS
+            ),
         )
         faulted = list_cliques_congested_clique(g, 3, params=params, seed=1)
         assert faulted.cliques == clean.cliques
@@ -118,11 +131,14 @@ class TestCongestPipelineDifferential:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_exact_recovery_in_cluster_pipeline(self, family, seed):
         g = create_workload(family).instance(40, seed=seed)
-        base = AlgorithmParameters(p=3, plane="batch", stop_scale=0.1)
-        clean = list_cliques_congest(g, 3, params=base, seed=seed)
-        faulted = list_cliques_congest(
-            g, 3, params=base.with_(faults=BOUNDED_FAULTS), seed=seed
+        base = AlgorithmParameters(
+            p=3, stop_scale=0.1, execution=ExecutionConfig(plane="batch")
         )
+        clean = list_cliques_congest(g, 3, params=base, seed=seed)
+        faulted_params = base.with_(
+            execution=base.execution.with_(faults=BOUNDED_FAULTS)
+        )
+        faulted = list_cliques_congest(g, 3, params=faulted_params, seed=seed)
         assert clean.stats["outer_iterations"] >= 1  # pipeline really ran
         assert faulted.cliques == clean.cliques == enumerate_cliques(g, 3)
         assert faulted.per_node == clean.per_node
@@ -133,10 +149,13 @@ class TestCongestPipelineDifferential:
 
     def test_recovery_charge_is_tagged_under_arb_prefix(self):
         g = create_workload("planted").instance(40, seed=2)
-        base = AlgorithmParameters(p=3, plane="batch", stop_scale=0.1)
-        faulted = list_cliques_congest(
-            g, 3, params=base.with_(faults=BOUNDED_FAULTS), seed=2
+        base = AlgorithmParameters(
+            p=3, stop_scale=0.1, execution=ExecutionConfig(plane="batch")
         )
+        faulted_params = base.with_(
+            execution=base.execution.with_(faults=BOUNDED_FAULTS)
+        )
+        faulted = list_cliques_congest(g, 3, params=faulted_params, seed=2)
         recovery = [ph for ph in faulted.ledger.phases() if ph.recovery]
         assert recovery
         assert any(ph.name.endswith("fault_recovery") for ph in recovery)
@@ -148,8 +167,8 @@ class TestFaultFreeSeamIdentity:
     @pytest.mark.parametrize("plane", ROUTING_PLANES)
     def test_inactive_model_is_a_noop(self, plane):
         g = create_workload("zipfian").instance(36, seed=1)
-        clean = list_cliques_congested_clique(g, 3, seed=1, plane=plane)
-        params = AlgorithmParameters(p=3, plane=plane, faults=FaultModel(seed=9))
+        clean = list_cliques_congested_clique(g, 3, params=params_on(plane), seed=1)
+        params = params_on(plane, faults=FaultModel(seed=9))
         seamed = list_cliques_congested_clique(g, 3, params=params, seed=1)
         assert seamed.cliques == clean.cliques
         assert seamed.per_node == clean.per_node
@@ -172,7 +191,7 @@ class TestFailureModes:
         g = create_workload("er").instance(36, seed=0)
         # Node 0 receives fan-out traffic and never comes back up.
         model = FaultModel(seed=0, crash_windows=((0, 0, -1),), retry_budget=3)
-        params = AlgorithmParameters(p=3, faults=model)
+        params = params_on(faults=model)
         with pytest.raises(RetryBudgetExceededError) as excinfo:
             list_cliques_congested_clique(g, 3, params=params, seed=0)
         err = excinfo.value
@@ -185,7 +204,7 @@ class TestFailureModes:
         clean = list_cliques_congested_clique(g, 3, seed=0)
         model = FaultModel(seed=0, crash_windows=((0, 0, 2),), retry_budget=6)
         faulted = list_cliques_congested_clique(
-            g, 3, params=AlgorithmParameters(p=3, faults=model), seed=0
+            g, 3, params=params_on(faults=model), seed=0
         )
         assert faulted.cliques == clean.cliques
         assert faulted.ledger.recovery_rounds > 0
@@ -197,14 +216,14 @@ class TestFailureModes:
         )
         with pytest.raises(RetryBudgetExceededError):
             list_cliques_congested_clique(
-                g, 3, params=AlgorithmParameters(p=3, faults=model), seed=0
+                g, 3, params=params_on(faults=model), seed=0
             )
 
     @pytest.mark.parametrize("plane", ROUTING_PLANES)
     def test_silent_corruption_caught_by_recount(self, plane):
         g = create_workload("er").instance(36, seed=0)
         model = FaultModel(seed=2, silent_corruption_rate=0.3)
-        params = AlgorithmParameters(p=3, plane=plane, faults=model)
+        params = params_on(plane, faults=model)
         with pytest.raises(CorruptionDetectedError) as excinfo:
             list_cliques_congested_clique(g, 3, params=params, seed=0)
         assert excinfo.value.phase == "recount"
@@ -214,9 +233,11 @@ class TestFailureModes:
         g = create_workload("planted").instance(40, seed=0)
         params = AlgorithmParameters(
             p=3,
-            plane="batch",
             stop_scale=0.1,
-            faults=FaultModel(seed=3, silent_corruption_rate=0.4),
+            execution=ExecutionConfig(
+                plane="batch",
+                faults=FaultModel(seed=3, silent_corruption_rate=0.4),
+            ),
         )
         with pytest.raises(CorruptionDetectedError):
             list_cliques_congest(g, 3, params=params, seed=0)
@@ -230,7 +251,7 @@ class TestStragglers:
         clean = list_cliques_congested_clique(g, 3, seed=0)
         model = FaultModel(seed=5, stragglers=((1, 1.0, 3.0),))
         faulted = list_cliques_congested_clique(
-            g, 3, params=AlgorithmParameters(p=3, faults=model), seed=0
+            g, 3, params=params_on(faults=model), seed=0
         )
         assert faulted.cliques == clean.cliques
         stragglers = [

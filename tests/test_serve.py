@@ -110,6 +110,15 @@ class TestEpochSnapshot:
         with pytest.raises(ValueError, match="unknown routing plane"):
             snap.listing_result(3, plane="fpga")
 
+    def test_listing_result_resolves_the_requested_plane(self, executor_resolutions):
+        """``plane="parallel"`` routes *and* resolves its executor on the
+        parallel plane (``workers=1``: inline, no process pool)."""
+        _, snap = self._snap()
+        result = snap.listing_result(3, seed=0, plane="parallel")
+        assert [plane for plane, _ in executor_resolutions] == ["parallel"]
+        assert executor_resolutions[0][1] is not None
+        assert result.cliques == snap.listing_result(3, seed=0).cliques
+
     def test_learned_is_attributed_subset(self):
         engine, snap = self._snap()
         all_cliques = snap.cliques(3)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.config import ExecutionConfig
 from repro.core.congested_clique_listing import list_cliques_congested_clique
+from repro.core.params import AlgorithmParameters
 from repro.graphs.cliques import count_cliques, enumerate_cliques
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import complete_graph, erdos_renyi
@@ -394,6 +396,17 @@ class TestListingCachePlaneKeys:
             qe.listing_result(3, seed=0, plane="fpga")
         assert not qe._results
 
+    def test_requested_plane_resolves_its_executor(self, executor_resolutions):
+        """The plane a run routes on and the executor it resolves come
+        from one ExecutionConfig: ``plane="parallel"`` must resolve the
+        parallel executor (``workers=1``, the inline degenerate mode),
+        not fall back to the central batch path."""
+        qe = self._engine()
+        result = qe.listing_result(3, seed=0, plane="parallel")
+        assert [plane for plane, _ in executor_resolutions] == ["parallel"]
+        assert executor_resolutions[0][1] is not None
+        assert result.cliques == qe.listing_result(3, seed=0).cliques
+
 
 # ----------------------------------------------------------------------
 # Precomputed-table listing entry point (core/)
@@ -404,9 +417,10 @@ class TestPrecomputedTableEntryPoint:
     def test_identical_to_local_listing(self, plane, p):
         g = create_workload("planted").instance(36, seed=2)
         table = StreamEngine(g).clique_table(p)
-        reference = list_cliques_congested_clique(g, p, seed=1, plane=plane)
+        params = AlgorithmParameters(p=p, execution=ExecutionConfig(plane=plane))
+        reference = list_cliques_congested_clique(g, p, params=params, seed=1)
         served = list_cliques_congested_clique(
-            g, p, seed=1, plane=plane, precomputed_table=table
+            g, p, params=params, seed=1, precomputed_table=table
         )
         assert served.cliques == reference.cliques
         assert served.per_node == reference.per_node

@@ -11,6 +11,8 @@ from repro.analysis.sweeps import (
     resolve_jobs,
     run_sweep,
 )
+from repro.core.config import ExecutionConfig
+from repro.faults import FaultModel
 
 
 def small_spec(**overrides):
@@ -86,6 +88,26 @@ class TestCacheKey:
     def test_any_field_changes_key(self, change):
         assert self.base().cache_key() != self.base(**change).cache_key()
 
+    def test_default_grid_key_is_pinned(self):
+        """Existing default caches stay warm: a grid without execution
+        overrides keys exactly as before the per-cell config moved into
+        one ``algo_overrides["execution"]`` entry, while object-plane
+        and faulted grids key apart from it."""
+
+        def key(**overrides):
+            (cell,) = SweepSpec(workloads=["er"], sizes=[32], ps=[3], **overrides).runs()
+            return cell.cache_key()
+
+        default = key()
+        assert default == "e7aea8e8a0391ea52568699c"
+        object_plane = key(algo_overrides={"execution": ExecutionConfig(plane="object")})
+        faulted = key(
+            algo_overrides={
+                "execution": ExecutionConfig(faults=FaultModel(seed=1, drop_rate=0.01))
+            }
+        )
+        assert len({default, object_plane, faulted}) == 3
+
 
 class TestExecution:
     def test_rows_are_verified_and_complete(self):
@@ -131,6 +153,20 @@ class TestExecution:
         fanned = run_sweep(spec, jobs=2)
         assert [r["rounds"] for r in inline.rows] == [r["rounds"] for r in fanned.rows]
         assert [r["cliques"] for r in inline.rows] == [r["cliques"] for r in fanned.rows]
+
+    def test_execution_override_reaches_the_driver(self, executor_resolutions):
+        """An ``algo_overrides["execution"]`` entry routes every cell on
+        its plane (and resolves that plane's executor); charges and
+        counts match the default batch rows."""
+        parallel = {"execution": ExecutionConfig(plane="parallel")}
+        for model in ("congest", "congested-clique"):
+            spec = dict(workloads=["er"], sizes=[20], model=model)
+            (batch,) = run_sweep(small_spec(**spec)).rows
+            executor_resolutions.clear()
+            (par,) = run_sweep(small_spec(**spec, algo_overrides=parallel)).rows
+            assert {plane for plane, _ in executor_resolutions} <= {"parallel"}
+            assert (par["rounds"], par["cliques"]) == (batch["rounds"], batch["cliques"])
+        assert executor_resolutions  # the congested-clique cell resolved one
 
     def test_congested_clique_model(self):
         result = run_sweep(

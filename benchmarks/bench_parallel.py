@@ -1,8 +1,8 @@
-"""E-parallel: shard-executor plane vs single-core batch plane.
+"""E-parallel: the process-pool shard executor vs one core.
 
-The ISSUE-5 acceptance floor: the end-to-end Theorem 1.3 driver on
-ER n = 2000, p = 3 must run ≥ 2× faster steady-state on the parallel
-plane with 4 workers than on the single-core batch plane — with
+The acceptance floor: the end-to-end Theorem 1.3 driver on ER
+n = 2000, p = 3 must run ≥ 2× faster steady-state with a 4-worker pool
+(``ExecutionConfig(workers=4)``) than on a single core — with
 **identical** clique sets, per-node attribution and ledger rows.  The
 floor is enforced by ``scripts/check_bench.py`` over the emitted JSON,
 and only where it is *physically meaningful*: the JSON records the cpu
@@ -29,7 +29,6 @@ from repro.core.config import ExecutionConfig
 from repro.core.congested_clique_listing import list_cliques_congested_clique
 from repro.core.params import AlgorithmParameters
 from repro.graphs.csr import count_cliques_csr
-from repro.parallel import get_executor
 from repro.workloads import create_workload
 
 N = 2000
@@ -50,7 +49,7 @@ def _ledger_rows(result):
 
 def test_parallel_plane_speedup(benchmark, best_of, bench_env):
     params = AlgorithmParameters(
-        p=P, execution=ExecutionConfig(plane="parallel", workers=WORKERS)
+        p=P, execution=ExecutionConfig(workers=WORKERS)
     )
     timings = {}
 
@@ -119,7 +118,7 @@ def test_sharded_recount(benchmark, best_of, bench_env):
     Floor-free (recorded for trajectory): the win tracks core count and
     the instance is count-bound, not driver-bound.
     """
-    executor = get_executor(WORKERS)
+    executor = ExecutionConfig(workers=WORKERS).resolve_executor()
     timings = {}
 
     def measure():

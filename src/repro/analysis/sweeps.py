@@ -502,12 +502,11 @@ def run_sweep(
     jobs:
         Worker processes for the uncached cells; ``1`` runs inline in
         this process, ``0`` picks an automatic level.  Note: pool
-        workers are daemonic, so cells that request the parallel
-        routing plane (an ``algo_overrides["execution"]`` with
-        ``plane="parallel"``)
-        fall back to inline shard execution inside a ``jobs > 1``
-        fan-out — run such sweeps with ``jobs=1`` to give the shard
-        executor the machine.
+        workers are daemonic, so cells that request a process pool (an
+        ``algo_overrides["execution"]`` with ``workers > 1``) fall back
+        to inline shard execution inside a ``jobs > 1`` fan-out — run
+        such sweeps with ``jobs=1`` to give the shard executor the
+        machine.
     hosts:
         Cluster host specs (``repro.dist``).  When set, the uncached
         cells dispatch as ``sweep_cell`` tasks across the cluster

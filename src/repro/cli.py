@@ -9,7 +9,7 @@ Usage (after installing the package):
     python -m repro.cli sweep --workloads er,zipfian --n 64,96 --p 3
     python -m repro.cli sweep --workloads er --n 2000 --p 3 --jobs 1 --workers 4
     python -m repro.cli sweep --workloads er --n 64 --p 3 --drop-rate 0.05
-    python -m repro.cli sweep --workloads er --n 64,96 --p 3 --distributed --hosts spawn,spawn
+    python -m repro.cli sweep --workloads er --n 64,96 --p 3 --hosts spawn,spawn
     python -m repro.cli list --generator er --n 128 --p 4 --topology spanner:2 --show-ledger
     python -m repro.cli sweep --workloads er --n 64 --p 3 --topology star,ring,grid:8@bw=0.5
     python -m repro.cli stream --family stream_churn --n 256 --p 3,4 --verify
@@ -22,12 +22,13 @@ shares one *execution* flag group — declared once by
 :func:`add_execution_args` and parsed by
 :func:`execution_config_from_args` into the
 :class:`repro.core.config.ExecutionConfig` the library consumes:
-``--workers`` (parallel plane), ``--plane``/``--distributed``/
-``--hosts`` (where supported), ``--topology`` (overlay makespan
-accounting, see ``docs/topologies.md``), ``--materialize`` /
-``--no-materialize`` (python frozensets vs the columnar
-``CliqueTable`` path — counts and round charges identical either
-way) and ``--fault-seed``/``--drop-rate`` (the fault seam).
+``--plane`` (``batch`` arrays or the ``object`` reference, where
+supported), the shard executor — ``--workers`` (a local process pool)
+or ``--hosts`` (a node cluster, where supported) — ``--topology``
+(overlay makespan accounting, see ``docs/topologies.md``),
+``--materialize`` / ``--no-materialize`` (python frozensets vs the
+columnar ``CliqueTable`` path — counts and round charges identical
+either way) and ``--fault-seed``/``--drop-rate`` (the fault seam).
 
 Sub-commands
 ------------
@@ -36,7 +37,7 @@ Sub-commands
 ``bounds``     print the round-complexity formula table at a given n.
 ``sweep``      run a batched workload × n × p × variant grid through the
                sweep runner (JSON result cache, multiprocessing fan-out
-               or ``--distributed --hosts`` cluster dispatch,
+               or ``--hosts`` cluster dispatch,
                per-workload markdown report).
 ``stream``     replay a dynamic workload family through the streaming
                engine (incremental K_p maintenance with periodic
@@ -53,7 +54,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import list_cliques
 from repro.analysis.sweeps import SweepSpec, run_sweep
@@ -195,24 +196,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _resolve_hosts(args: argparse.Namespace):
-    """The validated host tuple for ``--distributed``, or ``None``.
+def _resolve_hosts(args: argparse.Namespace) -> Tuple[str, ...]:
+    """The validated ``--hosts`` tuple (``()`` when none are given).
 
     Syntax errors (:class:`repro.dist.HostSpecError`) surface as a clean
-    CLI error before any connection is attempted; the flag pairing is
-    enforced both ways so a stray ``--hosts`` never silently runs
-    single-box.
+    CLI error before any connection is attempted.
     """
     specs = [item for item in (args.hosts or "").split(",") if item.strip()]
-    if not args.distributed:
-        if specs:
-            raise SystemExit("--hosts requires --distributed")
-        return None
     if not specs:
-        raise SystemExit(
-            "--distributed requires --hosts HOST[,HOST...] "
-            "(local, subprocess, spawn, or HOST:PORT)"
-        )
+        return ()
     from repro.dist import HostSpecError, validate_host_specs
 
     try:
@@ -298,11 +290,11 @@ def add_execution_args(
 ) -> None:
     """Declare the shared execution surface on a subcommand parser.
 
-    One declaration site for ``--plane/--workers/--distributed/--hosts/
-    --topology/--materialize/--fault-seed/--drop-rate`` — every
-    subcommand used to re-declare its own subset with drifting help
-    text.  ``plane=False`` omits the plane/cluster flags (stream/serve
-    run the engine single-box), ``topology=None`` omits ``--topology``,
+    One declaration site for ``--plane/--workers/--hosts/--topology/
+    --materialize/--fault-seed/--drop-rate`` — every subcommand used to
+    re-declare its own subset with drifting help text.  ``plane=False``
+    omits the plane/cluster flags (stream/serve run the engine
+    single-box), ``topology=None`` omits ``--topology``,
     ``topology="list"`` documents it as a comma-separated grid axis
     (sweep), and ``faults=False`` omits the fault seam.  Parse the
     result with :func:`execution_config_from_args`.
@@ -316,39 +308,30 @@ def add_execution_args(
         type=_positive_int,
         default=1,
         help=(
-            "shard-executor processes; > 1 selects the parallel routing "
-            "plane (identical results and round charges, numpy work "
-            "sharded across a process pool)"
+            "shard-executor processes; > 1 shards the batch plane's numpy "
+            "work across a local process pool (identical results and "
+            "round charges)"
         ),
     )
     if plane:
         group.add_argument(
             "--plane",
             choices=list(PLANES),
-            default=None,
+            default=DEFAULT_PLANE,
             help=(
-                "routing plane override; default derives it "
-                "(dist with --distributed --hosts, parallel with "
-                "--workers > 1, otherwise %(default)s → "
-                f"{DEFAULT_PLANE!r}); charges are plane-invariant"
-            ),
-        )
-        group.add_argument(
-            "--distributed",
-            action="store_true",
-            help=(
-                "run against the --hosts cluster (repro.dist) instead "
-                "of a local process pool; results are identical to the "
-                "single-box planes"
+                "data representation: columnar arrays or the per-message "
+                "object reference (default %(default)s); charges are "
+                "plane-invariant"
             ),
         )
         group.add_argument(
             "--hosts",
             default="",
             help=(
-                "comma-separated cluster host specs for --distributed: "
-                "local | subprocess | spawn | HOST:PORT (a running "
-                "`python -m repro.dist.worker --port PORT`)"
+                "comma-separated cluster host specs; given, the shard "
+                "kernels run on this cluster (repro.dist) instead of a "
+                "local pool: local | subprocess | spawn | HOST:PORT (a "
+                "running `python -m repro.dist.worker --port PORT`)"
             ),
         )
     if topology is not None:
@@ -380,14 +363,13 @@ def add_execution_args(
 def execution_config_from_args(args: argparse.Namespace) -> ExecutionConfig:
     """Build the :class:`ExecutionConfig` described by the shared flags.
 
-    The single flags→config path for every subcommand: host-spec and
-    flag-pairing validation (:func:`_resolve_hosts`), the fault seam
-    (:func:`_fault_model_from_args`), topology-spec parsing, and plane
-    derivation (explicit ``--plane`` wins; otherwise ``--distributed``
-    selects ``dist``, ``--workers > 1`` selects ``parallel``).  Flags a
+    The single flags→config path for every subcommand: host-spec
+    validation (:func:`_resolve_hosts`), the fault seam
+    (:func:`_fault_model_from_args`) and topology-spec parsing; the
+    config itself rejects contradictory executor flags.  Flags a
     subcommand did not declare fall back to the config defaults.
     """
-    hosts = _resolve_hosts(args) if hasattr(args, "distributed") else None
+    hosts = _resolve_hosts(args) if hasattr(args, "hosts") else ()
     faults = _fault_model_from_args(args) if hasattr(args, "fault_seed") else None
     topology = None
     spec = getattr(args, "topology", None)
@@ -398,27 +380,11 @@ def execution_config_from_args(args: argparse.Namespace) -> ExecutionConfig:
             topology = parse_topology(spec)
         except ValueError as exc:
             raise SystemExit(f"invalid --topology: {exc}")
-    workers = getattr(args, "workers", 1)
-    plane = getattr(args, "plane", None)
-    if plane is None:
-        if hosts:
-            plane = "dist"
-        elif workers > 1:
-            plane = "parallel"
-        else:
-            plane = DEFAULT_PLANE
-    if plane == "dist" and not hosts:
-        raise SystemExit("--plane dist requires --distributed --hosts HOST[,HOST...]")
-    if workers > 1 and plane not in ("parallel", "dist"):
-        raise SystemExit(
-            f"--workers {workers} needs the parallel plane; "
-            f"drop --plane {plane} or use --plane parallel"
-        )
     try:
         return ExecutionConfig(
-            plane=plane,
-            workers=workers,
-            hosts=hosts or (),
+            plane=getattr(args, "plane", DEFAULT_PLANE),
+            workers=getattr(args, "workers", 1),
+            hosts=hosts,
             faults=faults,
             materialize=getattr(args, "materialize", False),
             topology=topology,
@@ -453,31 +419,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     # Two flags mean something grid-shaped here rather than per-run:
     # --topology is a sweep *axis* (comma-separated specs, one grid cell
-    # per spec) and --distributed/--hosts fan grid cells over the
-    # cluster.  Both are consumed before the shared flags→config path,
-    # so the per-cell ExecutionConfig stays single-box/clique.
+    # per spec) and --hosts fans whole grid cells over the cluster.
+    # Both are consumed before the shared flags→config path, so the
+    # per-cell ExecutionConfig stays single-box/clique.
     topologies = _split_topology_list(args.topology) if args.topology else None
     args.topology = None
-    if args.plane == "dist":
-        raise SystemExit(
-            "sweep fans whole grid cells over --distributed --hosts; "
-            "--plane dist is not a per-cell plane"
-        )
-    hosts = _resolve_hosts(args)
-    args.distributed, args.hosts = False, ""
+    hosts = _resolve_hosts(args) or None
+    args.hosts = ""
     config = execution_config_from_args(args)
+    execution = ExecutionConfig(
+        plane=config.plane, workers=config.workers, faults=config.faults
+    )
     algo_overrides = {}
-    if config.plane != DEFAULT_PLANE or config.faults is not None:
+    if execution != ExecutionConfig():
         # Reaches AlgorithmParameters.execution through RunSpec.extra;
         # its repr feeds the cache key, so object-plane, faulted and
         # default grids never share rows (and a default grid's key is
-        # unchanged).  The parallel plane is charge- and output-
-        # identical to batch; workers only moves the numpy work onto a
-        # process pool.
-        algo_overrides["execution"] = ExecutionConfig(
-            plane=config.plane, workers=config.workers, faults=config.faults
-        )
-    if config.plane == "parallel" and hosts is None and args.jobs != 1:
+        # unchanged).  Workers are charge- and output-identical to one
+        # core; they only move the numpy work onto a process pool.
+        algo_overrides["execution"] = execution
+    if config.workers > 1 and hosts is None and args.jobs != 1:
         # Inside a --jobs fan-out every cell runs in a daemonic pool
         # worker, where the shard executor must fall back to inline
         # execution — the requested workers would silently do

@@ -30,14 +30,14 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-#: The routing planes every plane-aware entry point accepts: ``"batch"``
-#: moves columnar arrays on one core, ``"object"`` moves per-message
-#: Python tuples (the reference semantics), ``"parallel"`` moves the
-#: same columns sharded across a worker-process pool
-#: (:mod:`repro.parallel`), ``"dist"`` dispatches the identical shard
-#: kernels across cluster nodes (:mod:`repro.dist`).  All planes charge
-#: identical ledger rounds.
-PLANES = ("batch", "object", "parallel", "dist")
+#: The routing planes every plane-aware entry point accepts.  A plane
+#: names the data representation only: ``"batch"`` moves columnar
+#: arrays, ``"object"`` moves per-message Python tuples (the reference
+#: semantics).  Where batch-plane numpy work runs — one core, a local
+#: process pool or a node cluster — is the shard executor's concern
+#: (:meth:`repro.core.config.ExecutionConfig.resolve_executor`).  Both
+#: planes charge identical ledger rounds.
+PLANES = ("batch", "object")
 
 #: The plane every plane-aware entry point resolves ``plane=None`` to.
 #: :class:`~repro.core.params.AlgorithmParameters` defaults to it, and
@@ -45,13 +45,6 @@ PLANES = ("batch", "object", "parallel", "dist")
 #: serve epochs) normalize ``None`` through this constant so the two
 #: spellings can never alias into separate entries.
 DEFAULT_PLANE = "batch"
-
-#: The planes whose data movement is columnar numpy arrays.
-#: ``"parallel"`` is the batch plane with its delivery/listing tail
-#: sharded across a local worker pool; ``"dist"`` is the same tail
-#: dispatched across cluster nodes — every array-plane code path serves
-#: all three, which is why they cannot drift apart.
-ARRAY_PLANES = ("batch", "parallel", "dist")
 
 
 def bincount_loads(

@@ -153,7 +153,7 @@ class CongestedClique:
     ) -> None:
         """Validate and charge a batch pattern without central delivery.
 
-        The parallel plane's charging endpoint: the ledger rounds and
+        The shard executors' charging endpoint: the ledger rounds and
         stats are exactly :meth:`route_batch`'s (same validation, same
         bincount loads, same charging path), but the mailbox fill is
         left to the shard workers, each of which delivers only its own

@@ -244,8 +244,8 @@ class ClusterRouter:
         """Validate and charge a batch pattern without central delivery —
         the Theorem 2.4 twin of
         :meth:`~repro.congest.congested_clique.CongestedClique.charge_batch`,
-        for phases whose mailbox fill is sharded worker-side on the
-        parallel plane.  Rounds and stats are bit-identical to
+        for phases whose mailbox fill is sharded worker-side by a shard
+        executor.  Rounds and stats are bit-identical to
         :meth:`route_batch` for the same pattern.
         """
         self._charge_and_heal(batch, ledger, phase)

@@ -7,11 +7,13 @@ in ``AlgorithmParameters``, the CLI subcommands, the sweep runner and
 the serve service.  :class:`ExecutionConfig` owns that surface in one
 place:
 
-- ``plane`` + ``workers`` + ``hosts`` — where data movement executes
-  (:data:`repro.congest.batch.PLANES`), resolved to a shard executor
-  through the **single** plane→executor path
-  (:meth:`ExecutionConfig.resolve_executor`, a thin veneer over
-  :func:`repro.dist.resolve_executor`).
+- ``plane`` — the data representation of the simulated movement
+  (:data:`repro.congest.batch.PLANES`: columnar ``batch`` or the
+  ``object`` reference).
+- ``workers`` / ``hosts`` — where batch-plane numpy work runs, resolved
+  to a shard executor in **one** place
+  (:meth:`ExecutionConfig.resolve_executor`): the ``hosts`` cluster,
+  a ``workers`` process pool, or the calling process.
 - ``faults`` — the optional fault-injection seam (``docs/faults.md``).
 - ``cost_model`` — round-charge slack (:class:`repro.congest.routing.CostModel`).
 - ``topology`` — the overlay network charges are additionally priced on
@@ -45,18 +47,20 @@ class ExecutionConfig:
     Attributes
     ----------
     plane:
-        Routing plane: ``"batch"`` (columnar numpy, default),
-        ``"object"`` (reference tuple semantics), ``"parallel"``
-        (sharded across ``workers`` processes), or ``"dist"``
-        (dispatched over the ``hosts`` cluster).  Charged rounds are
-        identical on every plane.
+        Data representation: ``"batch"`` (columnar numpy, default) or
+        ``"object"`` (reference tuple semantics).  Charged rounds are
+        identical on both.
     workers:
-        Worker-process count for the ``"parallel"`` plane (``1`` =
-        degenerate inline mode); ignored elsewhere.
+        Local process-pool size for the batch plane's shard kernels
+        (``1`` = run them in the calling process).
     hosts:
-        Host specs for the ``"dist"`` plane (``local``, ``spawn``,
-        ``subprocess``, or ``host:port`` — :func:`repro.dist.parse_host`);
-        frozen to a tuple.  ``()`` is the degenerate one-node cluster.
+        Cluster host specs (``local``, ``spawn``, ``subprocess``, or
+        ``host:port`` — :func:`repro.dist.parse_host`), frozen to a
+        tuple; non-empty dispatches the shard kernels over that
+        cluster instead of a local pool.  ``workers > 1`` together with
+        ``hosts``, and either one on the ``"object"`` plane, are
+        rejected: each run has at most one executor, and the reference
+        plane has none.
     faults:
         Optional :class:`~repro.faults.model.FaultModel` attached to the
         run's routers; ``None`` keeps every code path byte-identical to
@@ -83,6 +87,13 @@ class ExecutionConfig:
     topology: Optional[Union[Topology, str]] = None
 
     def __post_init__(self) -> None:
+        if self.plane in ("parallel", "dist"):
+            raise ValueError(
+                f"routing plane {self.plane!r} no longer exists: a plane names "
+                f"the data representation only; ask for a local pool with "
+                f"ExecutionConfig(workers=N) or a cluster with "
+                f"ExecutionConfig(hosts=(HOST, ...))"
+            )
         if self.plane not in PLANES:
             raise ValueError(
                 f"unknown routing plane {self.plane!r}; use one of {PLANES}"
@@ -94,6 +105,16 @@ class ExecutionConfig:
         if not all(isinstance(spec, str) and spec for spec in self.hosts):
             raise ValueError(
                 f"hosts must be non-empty host-spec strings, got {self.hosts!r}"
+            )
+        if self.workers > 1 and self.hosts:
+            raise ValueError(
+                f"workers={self.workers} and hosts={self.hosts!r} name two "
+                f"executors; give a local pool (workers) or a cluster (hosts)"
+            )
+        if self.plane == "object" and (self.workers > 1 or self.hosts):
+            raise ValueError(
+                "the object plane has no shard executor; drop workers/hosts "
+                "or use plane='batch'"
             )
         if not isinstance(self.cost_model, CostModel):
             raise TypeError(
@@ -110,18 +131,25 @@ class ExecutionConfig:
 
     # ------------------------------------------------------------------
     def resolve_executor(self):
-        """The shard executor for this plane, or ``None`` for the
-        central single-process path.
+        """The shard executor of this run, or ``None`` for the central
+        single-process path.
 
-        This is the single plane→executor resolution seam: both listing
-        drivers, the sparsity-aware lister and the CLI go through here,
-        which goes through :func:`repro.dist.resolve_executor`.
+        The one place the executor is decided, from the inputs alone:
+        non-empty ``hosts`` → that cluster (:func:`repro.dist.get_cluster`),
+        ``workers > 1`` → the local pool
+        (:func:`repro.parallel.get_executor`), anything else → ``None``.
+        Both listing drivers, the sparsity-aware lister, the stream
+        engine's recount and the serve prewarm resolve through here.
         """
-        if self.plane not in ("parallel", "dist"):
-            return None
-        from repro.dist.cluster import resolve_executor
+        if self.hosts:
+            from repro.dist.cluster import get_cluster
 
-        return resolve_executor(self.plane, workers=self.workers, hosts=self.hosts)
+            return get_cluster(self.hosts)
+        if self.workers > 1:
+            from repro.parallel.executor import get_executor
+
+            return get_executor(self.workers)
+        return None
 
     def topology_spec(self) -> Optional[str]:
         """The topology's canonical spec string (``None`` for clique

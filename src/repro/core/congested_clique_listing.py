@@ -26,17 +26,18 @@ The data movement of step 3 *executes* on the routing plane named by
 - ``"object"`` — every (edge, recipient) pair becomes one Python
   tuple through :meth:`CongestedClique.route` dict mailboxes and each
   learned subgraph is rebuilt set-by-set.  This is the reference
-  semantics the differential tests pin the batch plane against;
-- ``"parallel"`` — the batch plane's fan-out columns, with the
-  mailbox fill *and* the per-node learned-subgraph listing sharded by
-  destination ranges across a worker-process pool
-  (:class:`repro.parallel.ShardExecutor`, ``execution.workers``
-  processes).  The ledger is charged through
-  :meth:`CongestedClique.charge_batch` — the same validation, loads and
-  stats as the central ``route_batch`` — and each worker delivers and
-  lists only its own destinations.
+  semantics the differential tests pin the batch plane against.
 
-All planes charge **identical** ledger rounds: the charge is a function
+On the batch plane with a shard executor
+(:meth:`~repro.core.config.ExecutionConfig.resolve_executor`: a
+``workers`` process pool or a ``hosts`` cluster), the mailbox fill *and*
+the per-node learned-subgraph listing shard by destination ranges
+across it.  The ledger is charged through
+:meth:`CongestedClique.charge_batch` — the same validation, loads and
+stats as the central ``route_batch`` — and each shard delivers and
+lists only its own destinations.
+
+Both planes charge **identical** ledger rounds: the charge is a function
 of the measured per-node word loads, and the loads are the same numbers
 whether counted by ``Counter`` loop, ``np.bincount``, or per-shard
 bincounts that partition the destination space.
@@ -55,7 +56,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.congest.batch import ARRAY_PLANES, fanout_edges_by_pair
+from repro.congest.batch import fanout_edges_by_pair
 from repro.congest.congested_clique import CongestedClique
 from repro.congest.errors import CorruptionDetectedError
 from repro.congest.ledger import RoundLedger
@@ -144,6 +145,7 @@ def list_cliques_congested_clique(
     elif params.p != p:
         raise ValueError(f"params.p={params.p} does not match p={p}")
     execution = params.execution
+    executor = execution.resolve_executor()
     rng = np.random.default_rng(params.seed if seed is None else seed)
 
     n = graph.num_nodes
@@ -161,10 +163,10 @@ def list_cliques_congested_clique(
         topology=execution.topology,
     )
 
-    # -- Step 1: orientation.  The array planes read the CSR forward
+    # -- Step 1: orientation.  The batch plane reads the CSR forward
     # adjacency (the same deterministic degeneracy orientation, as
     # arrays); the object plane materializes the per-node out-sets.
-    if execution.plane in ARRAY_PLANES:
+    if execution.plane == "batch":
         csr = graph.to_csr()
         fptr, findices = csr.forward()
         out_degree = int(np.diff(fptr).max(initial=0))
@@ -214,11 +216,11 @@ def list_cliques_congested_clique(
                 f"precomputed_table must be a (count, {p}) array, got shape "
                 f"{precomputed_table.shape}"
             )
-    if execution.plane in ARRAY_PLANES:
+    if execution.plane == "batch":
         _route_and_list_arrays(
             result, clique_net, fptr, findices, partition.part_array(), s, p,
             extra_send, extra_recv, fake_total, precomputed_table,
-            executor=execution.resolve_executor(),
+            executor=executor,
         )
     else:
         _route_and_list_object(
@@ -294,19 +296,19 @@ def _route_and_list_arrays(
 ) -> None:
     """Columnar edge distribution + per-node listing (zero Python sets).
 
-    One implementation serves every array plane — the fan-out batch,
-    the charge, and the responsible-node attribution are shared, so the
-    planes cannot drift apart:
+    One implementation serves every executor — the fan-out batch, the
+    charge, and the responsible-node attribution are shared, so the
+    executors cannot drift apart:
 
-    - ``executor=None`` (the batch plane): the pattern routes through
+    - ``executor=None`` (one core): the pattern routes through
       :meth:`CongestedClique.route_batch` and one block-diagonal level
       pipeline lists every node's learned subgraph straight off the
       delivered columns;
-    - ``executor`` set (the parallel plane's process pool or the dist
-      plane's cluster — both expose the same four shard kernels): the
-      identical pattern is charged via
-      :meth:`CongestedClique.charge_batch` (same validation, loads,
-      rounds, stats) and delivery + listing shard across the executor —
+    - ``executor`` set (a local process pool or a node cluster — both
+      expose the same four shard kernels): the identical pattern is
+      charged via :meth:`CongestedClique.charge_batch` (same
+      validation, loads, rounds, stats) and delivery + listing shard
+      across the executor —
       each shard masks out its destination range of the batch columns,
       fills its own mailboxes, and lists them through the same grouped
       pipeline.  Destination ranges partition both the mailboxes and the

@@ -58,9 +58,9 @@ def list_cliques_congest(
         Full parameter object; overrides ``p``/``variant`` when given.
         ``params.execution`` selects the routing plane of the cluster
         pipeline (gather / reshuffle / sparsity-aware listing) —
-        ``"batch"``, ``"object"``, ``"parallel"`` or ``"dist"`` — and
-        the shard executor behind it.  Rounds and outputs are identical
-        on every plane.
+        ``"batch"`` or ``"object"`` — and its ``workers``/``hosts`` the
+        shard executor behind the batch plane.  Rounds and outputs are
+        identical either way.
     variant:
         ``"generic"`` or ``"k4"`` (defaults per :func:`default_parameters`).
     seed:

@@ -31,7 +31,6 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.congest.batch import ARRAY_PLANES
 from repro.congest.ledger import RoundLedger
 from repro.congest.routing import ClusterRouter
 from repro.congest.topology import makespan_for_rounds
@@ -102,16 +101,16 @@ def sparsity_aware_listing(
         The cluster's listing obligation; only cliques containing at
         least one of these are output.
     params.execution:
-        Its ``plane`` picks the bookkeeping substrate.  The array planes
-        compute the p²-fan-out loads with ``np.bincount`` over edge
-        arrays and list the learned subgraph through the array kernel
-        — identical charges and outputs, no Python sets.  On
-        ``"parallel"`` / ``"dist"`` that listing is served by the shard
-        executor :meth:`~repro.core.config.ExecutionConfig.resolve_executor`
-        returns (``workers`` processes or the ``hosts`` cluster) — same
-        table, same charges.
+        Its ``plane`` picks the bookkeeping substrate.  The batch plane
+        computes the p²-fan-out loads with ``np.bincount`` over edge
+        arrays and lists the learned subgraph through the array kernel
+        — identical charges and outputs, no Python sets.  When
+        :meth:`~repro.core.config.ExecutionConfig.resolve_executor`
+        returns a shard executor (``workers`` processes or the ``hosts``
+        cluster), that listing is served by it — same table, same
+        charges.
     """
-    if params.execution.plane in ARRAY_PLANES:
+    if params.execution.plane == "batch":
         return _sparsity_aware_batch(
             n, members, owned, goal_edges, params, router, ledger, rng,
             phase_prefix,
@@ -214,9 +213,9 @@ def _sparsity_aware_batch(
     rng: np.random.Generator,
     phase_prefix: str,
 ) -> SparsityAwareOutcome:
-    """§2.4.3 on the array planes: fan-out loads via ``np.bincount`` over
+    """§2.4.3 on the batch plane: fan-out loads via ``np.bincount`` over
     edge arrays, learned-subgraph listing via the array kernel (sharded
-    across the run's shard executor on the parallel and dist planes).
+    across the run's shard executor when it has one).
     The rng draw, every charged round and every stat are identical to
     the object path — only the bookkeeping substrate changes."""
     members = sorted(members)

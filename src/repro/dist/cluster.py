@@ -5,7 +5,7 @@ ShardExecutor` and keeps its entire kernel surface (``fanout_tables`` /
 ``grouped_tables`` / ``clique_table`` / ``count_csr``) — the shard
 *planning* (contiguous weight-balanced ranges) and the shard→merge
 concatenation discipline are inherited unchanged, so the determinism
-argument of the parallel plane carries over verbatim.  Only the
+argument of the local pool carries over verbatim.  Only the
 transport differs: instead of a process pool, :meth:`_run` fans the
 shard argument tuples over :class:`~repro.dist.node.Node` objects via
 :meth:`map_task`.
@@ -21,15 +21,12 @@ Scheduling and fault handling:
   order regardless of which node computed what — byte-identical to the
   single-box pool;
 - when every node is dead and shards remain, :class:`~repro.dist.errors.
-  ClusterError` reports the shortfall;
-- :meth:`map_task_redundant` is the robustness hook (anticipating
-  LDC-style robust Congested Clique computation): every shard runs on
-  ``r`` distinct nodes and the replies must agree exactly.
+  ClusterError` reports the shortfall.
 
 Charging stays local: the drivers charge the ledger through
-``charge_batch`` *before* dispatch (exactly like the parallel plane),
-so ledger rows are byte-identical across batch/parallel/dist by
-construction — nothing about rounds ever crosses the wire.
+``charge_batch`` *before* dispatch (exactly like the local pool), so
+ledger rows are byte-identical whichever executor runs the shards —
+nothing about rounds ever crosses the wire.
 
 The process-wide registry (:func:`get_cluster`) mirrors
 :func:`repro.parallel.executor.get_executor`: one cluster per hosts
@@ -50,24 +47,6 @@ from repro.dist.errors import ClusterError, NodeFailure
 from repro.dist.node import LocalNode, Node, parse_hosts
 from repro.parallel.executor import ShardExecutor
 from repro.parallel.shm import mem_ref
-
-
-def _agree(a: Any, b: Any) -> bool:
-    """Exact agreement of two task results (array trees compared
-    element-wise; the kernels are deterministic, so replicas must be
-    byte-identical)."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return (
-            isinstance(a, np.ndarray)
-            and isinstance(b, np.ndarray)
-            and a.shape == b.shape
-            and bool(np.array_equal(a, b))
-        )
-    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
-        return len(a) == len(b) and all(_agree(x, y) for x, y in zip(a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return set(a) == set(b) and all(_agree(a[k], b[k]) for k in a)
-    return bool(a == b)
 
 
 class Cluster(ShardExecutor):
@@ -221,55 +200,6 @@ class Cluster(ShardExecutor):
             raise task_error[0]
         return results
 
-    def map_task_redundant(
-        self,
-        task: str,
-        arrays: Dict[str, np.ndarray],
-        args_list: Sequence[tuple],
-        redundancy: int = 2,
-    ) -> List[Any]:
-        """Robust dispatch: every shard on ``redundancy`` distinct nodes,
-        replies cross-checked for exact agreement.
-
-        The hook anticipating LDC-style robust computation: a node that
-        returns a *wrong* answer (not just a dead one) is caught by the
-        agreement check, which raises :class:`ClusterError` rather than
-        merging a corrupt shard.  Requires at least ``redundancy`` live
-        nodes.
-        """
-        if redundancy < 2:
-            return self.map_task(task, arrays, args_list)
-        alive = self.alive_nodes()
-        if len(alive) < redundancy:
-            raise ClusterError(
-                f"redundancy {redundancy} needs that many live nodes, "
-                f"have {len(alive)}",
-                pending=len(args_list),
-                failed_nodes=self.failed_nodes(),
-                task=task,
-            )
-        results: List[Any] = []
-        for index, args in enumerate(args_list):
-            replies = []
-            for offset in range(redundancy):
-                node = alive[(index + offset) % len(alive)]
-                replies.append(node.call(task, arrays, args))
-            first = replies[0]
-            for replica, other in enumerate(replies[1:], start=1):
-                if not _agree(first, other):
-                    raise ClusterError(
-                        f"replica disagreement on shard {index} "
-                        f"({alive[index % len(alive)].name} vs "
-                        f"{alive[(index + replica) % len(alive)].name})",
-                        pending=len(args_list) - index,
-                        failed_nodes=self.failed_nodes(),
-                        task=task,
-                    )
-            results.append(first)
-            with self._lock:
-                self.stats["dispatched"] += redundancy
-        return results
-
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
@@ -300,7 +230,7 @@ def get_cluster(hosts: Sequence[str] = ()) -> Cluster:
 
 
 def register_cluster(hosts: Sequence[str], cluster: Cluster) -> None:
-    """Pre-seed the registry (tests inject failing/lying node doubles
+    """Pre-seed the registry (tests inject failing node doubles
     behind a synthetic hosts key; ``ExecutionConfig.hosts`` then
     routes the drivers to them)."""
     with _REGISTRY_LOCK:
@@ -318,19 +248,3 @@ def shutdown_clusters() -> None:
 
 atexit.register(shutdown_clusters)
 
-
-def resolve_executor(plane: str, workers: int = 1, hosts: Sequence[str] = ()):
-    """The executor object a routing plane's listing tail runs on.
-
-    ``"parallel"`` → the process-pool :class:`ShardExecutor` for
-    ``workers``; ``"dist"`` → the cluster for ``hosts``; anything else →
-    ``None`` (the central single-core path).  Both executors expose the
-    same four kernels, so the drivers hold a single seam.
-    """
-    if plane == "parallel":
-        from repro.parallel import get_executor
-
-        return get_executor(workers)
-    if plane == "dist":
-        return get_cluster(hosts)
-    return None

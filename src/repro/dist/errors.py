@@ -70,9 +70,9 @@ class UnknownTaskError(TaskError):
 
 
 class ClusterError(DistError):
-    """The cluster could not complete a dispatch: every node died (or
-    redundant replicas disagreed).  Carries the shard accounting so the
-    caller can report how far the dispatch got."""
+    """The cluster could not complete a dispatch: every node died.
+    Carries the shard accounting so the caller can report how far the
+    dispatch got."""
 
     def __init__(
         self,

@@ -26,7 +26,7 @@ from repro.dist.errors import UnknownTaskError
 #: name → "module:attribute".  Extend here (and only here) to expose a
 #: new kernel to remote nodes.
 TASKS: Dict[str, str] = {
-    # The four shard kernels of the parallel plane (repro.parallel.tasks).
+    # The four shard kernels of the local pool (repro.parallel.tasks).
     "fanout_listing_shard": "repro.parallel.tasks:fanout_listing_shard",
     "grouped_tables_shard": "repro.parallel.tasks:grouped_tables_shard",
     "forward_table_shard": "repro.parallel.tasks:forward_table_shard",
@@ -63,7 +63,7 @@ def sweep_cell(refs, payload: dict) -> dict:
 
     ``payload`` is the :class:`~repro.analysis.sweeps.RunSpec` as a
     field dict.  The heavy imports happen inside the call: worker boot
-    stays fast and the parallel-plane task imports above stay usable
+    stays fast and the shard-kernel task imports above stay usable
     without the analysis stack.
     """
     del refs  # sweep cells carry no array inputs

@@ -16,7 +16,8 @@ columns across worker processes:
 
 Everything observable — listing results, ledger rounds and stats,
 maintained stream counts — is identical to the single-core batch plane;
-``plane="parallel"`` only changes *where* the numpy work runs.  See
+``ExecutionConfig(workers=N)`` only changes *where* the numpy work
+runs.  See
 ``docs/parallel.md`` for the design and the determinism argument.
 """
 

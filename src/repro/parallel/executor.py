@@ -34,7 +34,10 @@ Degenerate modes, all yielding byte-identical results:
   inline.
 
 Pools are created lazily, cached per worker count by
-:func:`get_executor`, and torn down at interpreter exit.
+:func:`get_executor`, and torn down at interpreter exit.  A worker that
+dies mid-shard breaks the pool: the call raises
+:class:`~repro.dist.errors.NodeFailure` instead of hanging, and the
+next call builds a fresh pool.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from itertools import repeat
+from multiprocessing import resource_tracker
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -101,7 +108,11 @@ class ShardExecutor:
             ctx = multiprocessing.get_context(
                 "fork" if "fork" in methods else methods[0]
             )
-            self._pool = ctx.Pool(self.workers)
+            # Workers inherit a running tracker and so share it: a block
+            # they attach is registered once, and unregistered once, by
+            # the parent's unlink.
+            resource_tracker.ensure_running()
+            self._pool = ProcessPoolExecutor(self.workers, mp_context=ctx)
         return self._pool
 
     def prewarm(self) -> bool:
@@ -115,28 +126,22 @@ class ShardExecutor:
         """
         if not self.parallel:
             return False
-        self._ensure_pool()
+        # The pool forks its workers on the first submission.
+        self._ensure_pool().submit(int).result()
         return True
 
     def close(self) -> None:
         """Shut the pool down (idempotent); the executor stays usable —
         the next parallel call lazily builds a fresh pool.
 
-        Shutdown is graceful — ``close()`` then ``join()`` — so worker
-        processes run their cleanup handlers; terminating them mid-task
-        is how shared-memory segments and pool semaphores leak past
-        interpreter exit (the resource-tracker warnings).  ``terminate``
-        remains the fallback if the graceful path itself fails.
+        Shutdown waits for the workers to exit, so they run their
+        cleanup handlers; terminating them mid-task is how shared-memory
+        segments and pool semaphores leak past interpreter exit (the
+        resource-tracker warnings).
         """
         pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        try:
-            pool.close()
-            pool.join()
-        except Exception:  # pragma: no cover - defensive fallback
-            pool.terminate()
-            pool.join()
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def __enter__(self) -> "ShardExecutor":
         return self
@@ -162,9 +167,18 @@ class ShardExecutor:
             return [fn(refs, *args) for args in shard_args]
         pool = self._ensure_pool()
         with sharing(arrays) as refs:
-            return pool.starmap(
-                tasks.invoke, [(fn, refs, args) for args in shard_args]
-            )
+            try:
+                return list(
+                    pool.map(tasks.invoke, repeat(fn), repeat(refs), shard_args)
+                )
+            except BrokenProcessPool as exc:
+                from repro.dist.errors import NodeFailure
+
+                self.close()  # the next call builds a fresh pool
+                raise NodeFailure(
+                    f"a pool worker died running {fn.__name__}",
+                    node=f"pool(workers={self.workers})",
+                ) from exc
 
     # ------------------------------------------------------------------
     # Kernels

@@ -4,7 +4,7 @@ Every parallel kernel in :mod:`repro.parallel` shards a *contiguous*
 index space — destination nodes of a delivered batch, groups of a
 grouped listing call, root edges of a level pipeline — because
 contiguous ranges keep the shard→merge step a plain concatenation in
-shard order, which is what makes the parallel plane's outputs
+shard order, which is what makes the shard executors' outputs
 order-independent-equal to the single-core batch plane.
 
 The planner balances by *weight* (per-index work estimate: received

@@ -20,9 +20,10 @@ an array that resolves to a real ``np.ndarray`` in any process:
 Lifetime contract: the parent creates blocks via :class:`SharedBlock`
 (or the :func:`sharing` context manager), keeps them alive for the
 duration of the pool call, then closes+unlinks.  Workers attach through
-:func:`resolved`, which closes their handle — and unregisters it from
-the ``resource_tracker`` — on exit, so no "leaked shared_memory"
-warnings survive the run.
+:func:`resolved`, which closes their handle on exit.  Pool workers share
+the parent's ``resource_tracker`` (the executor starts it before
+forking), so the parent's unlink is the one unregister every block
+needs, and no "leaked shared_memory" warnings survive the run.
 """
 
 from __future__ import annotations
@@ -145,23 +146,6 @@ def _attach(ref: ArrayRef):
     return array, handle
 
 
-def _release(handle) -> None:
-    """Close a worker-side handle and drop it from the resource tracker.
-
-    Attaching registers the block with the attaching process's tracker
-    (bpo-39959); without the unregister, pool children exiting after the
-    parent has unlinked produce spurious "leaked shared_memory" noise.
-    """
-    name = handle.name
-    handle.close()
-    try:  # pragma: no cover - tracker layout is an implementation detail
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister("/" + name.lstrip("/"), "shared_memory")
-    except Exception:
-        pass
-
-
 @contextmanager
 def resolved(refs: Mapping[str, ArrayRef]) -> Iterator[Dict[str, np.ndarray]]:
     """Worker-side view of a ref set; valid only inside the ``with``.
@@ -180,4 +164,4 @@ def resolved(refs: Mapping[str, ArrayRef]) -> Iterator[Dict[str, np.ndarray]]:
         yield arrays
     finally:
         for handle in handles:
-            _release(handle)
+            handle.close()

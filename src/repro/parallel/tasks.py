@@ -1,4 +1,4 @@
-"""Worker-side shard kernels of the parallel plane.
+"""Worker-side shard kernels of the shard executors.
 
 Each function here is one shard's unit of work.  The contract shared by
 all of them:
@@ -16,7 +16,7 @@ batch plane runs (:func:`repro.graphs.csr.grouped_clique_tables`,
 :func:`~repro.graphs.csr.table_from_forward_bits`,
 :func:`~repro.graphs.csr.count_from_forward_bits`), restricted to a
 contiguous shard of its index space.  That is the whole determinism
-argument of the parallel plane: shards partition the work, the per-item
+argument of the shard executors: shards partition the work, the per-item
 computation is byte-for-byte the batch plane's, and the merge is a
 concatenation in shard order.
 

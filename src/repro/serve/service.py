@@ -160,10 +160,11 @@ class CliqueService:
             self._pool = ThreadPoolExecutor(
                 max_workers=self.query_threads, thread_name_prefix="serve-query"
             )
-        if self.engine.workers > 1:
-            from repro.parallel import get_executor
+        from repro.core.config import ExecutionConfig
 
-            get_executor(self.engine.workers).prewarm()
+        executor = ExecutionConfig(workers=self.engine.workers).resolve_executor()
+        if executor is not None:
+            executor.prewarm()
         return self
 
     def stop(self) -> None:

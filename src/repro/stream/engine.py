@@ -208,10 +208,11 @@ class StreamEngine:
     def _snapshot_count(self, snapshot: CSRGraph, p: int) -> int:
         """Count K_p on a snapshot — sharded across the executor's
         workers when configured, the exact same integer either way."""
-        if self.workers > 1:
-            from repro.parallel import get_executor
+        from repro.core.config import ExecutionConfig
 
-            return get_executor(self.workers).count_csr(snapshot, p)
+        executor = ExecutionConfig(workers=self.workers).resolve_executor()
+        if executor is not None:
+            return executor.count_csr(snapshot, p)
         return count_cliques_csr(snapshot, p)
 
     def _compacted(self) -> CSRGraph:

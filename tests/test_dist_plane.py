@@ -1,11 +1,11 @@
-"""Differential tests: distributed execution plane vs batch/parallel.
+"""Differential tests: the cluster executor vs one core and the local pool.
 
-The dist plane must be a *drop-in* for the batch and parallel planes:
-identical ledger charges (phase names, rounds, stats — byte-identical
-rows), identical clique sets and per-node attribution from both
-end-to-end drivers — across every static workload family, several
-seeds, including the degenerate one-LocalNode mode and a forced
-node-failure-with-retry.  The shard threshold is forced to zero
+A ``hosts`` cluster must be a *drop-in* for single-core and pooled
+batch-plane runs: identical ledger charges (phase names, rounds, stats
+— byte-identical rows), identical clique sets and per-node attribution
+from both end-to-end drivers — across every static workload family,
+several seeds, including the degenerate one-LocalNode mode and a
+forced node-failure-with-retry.  The shard threshold is forced to zero
 throughout so toy instances exercise real cluster dispatch.
 
 Out-of-core: :class:`~repro.dist.PartitionedCSR` listings off
@@ -41,7 +41,6 @@ from repro.dist import (
     get_cluster,
     parse_host,
     register_cluster,
-    resolve_executor,
     spawn_local_tcp,
     validate_host_specs,
     write_partitioned,
@@ -97,7 +96,7 @@ def sorted_listing(result):
 
 def dist_params(p, hosts, **kw):
     return AlgorithmParameters(
-        p=p, execution=ExecutionConfig(plane="dist", hosts=hosts), **kw
+        p=p, execution=ExecutionConfig(hosts=hosts), **kw
     )
 
 
@@ -120,20 +119,6 @@ class FailingOnceNode(LocalNode):
             self.alive = False
             raise NodeFailure("injected transport failure", node=self.name)
         return super().call(task, arrays, args)
-
-
-class LyingNode(LocalNode):
-    """Returns a corrupted copy of the true result — caught only by the
-    redundant dispatch's agreement check, never by transport health."""
-
-    def call(self, task, arrays, args):
-        value = super().call(task, arrays, args)
-        if isinstance(value, np.ndarray) and value.size:
-            value = value.copy()
-            value.flat[0] += 1
-        elif isinstance(value, (int, np.integer)):
-            value = int(value) + 1
-        return value
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +323,7 @@ class TestHostSpecs:
 
 
 # ----------------------------------------------------------------------
-# Cluster dispatch, retry, redundancy
+# Cluster dispatch and retry
 # ----------------------------------------------------------------------
 class TestCluster:
     def test_needs_nodes(self):
@@ -391,35 +376,6 @@ class TestCluster:
         # Both nodes stay alive: a task bug is not a transport failure.
         assert len(cluster.alive_nodes()) == 2
 
-    def test_redundant_agreement(self):
-        cluster = Cluster([LocalNode(), LocalNode(), LocalNode()])
-        arrays = {
-            "fptr": np.array([0, 2, 3, 3], dtype=np.int64),
-            "findices": np.array([1, 2, 2], dtype=np.int64),
-            "bits": _bits_for(None, 3),
-        }
-        results = cluster.map_task_redundant(
-            "forward_count_shard", arrays, [(0, 3, 3), (0, 0, 3)], redundancy=3
-        )
-        assert [int(r) for r in results] == [1, 0]
-
-    def test_redundant_catches_lying_node(self):
-        cluster = Cluster([LocalNode(), LyingNode()])
-        arrays = {
-            "fptr": np.array([0, 2, 3, 3], dtype=np.int64),
-            "findices": np.array([1, 2, 2], dtype=np.int64),
-            "bits": _bits_for(None, 3),
-        }
-        with pytest.raises(ClusterError, match="disagreement"):
-            cluster.map_task_redundant(
-                "forward_count_shard", arrays, [(0, 3, 3)], redundancy=2
-            )
-
-    def test_redundancy_needs_enough_nodes(self):
-        cluster = Cluster([LocalNode()])
-        with pytest.raises(ClusterError):
-            cluster.map_task_redundant("forward_count_shard", {}, [(0, 0, 3)])
-
     def test_context_manager_closes_nodes(self):
         nodes = [LocalNode(), LocalNode()]
         with Cluster(nodes) as cluster:
@@ -430,10 +386,10 @@ class TestCluster:
         degenerate = get_cluster(())
         assert get_cluster(()) is degenerate
         assert not degenerate.parallel  # one LocalNode -> inline kernels
-        assert resolve_executor("dist", hosts=()) is degenerate
-        assert resolve_executor("batch") is None
-        assert resolve_executor("object") is None
-        pool = resolve_executor("parallel", workers=2)
+        assert ExecutionConfig(hosts=("local",)).resolve_executor() is degenerate
+        assert ExecutionConfig().resolve_executor() is None
+        assert ExecutionConfig(plane="object").resolve_executor() is None
+        pool = ExecutionConfig(workers=2).resolve_executor()
         assert pool is get_executor(2)
 
 
@@ -484,7 +440,7 @@ class TestDriverParity:
         par = list_cliques_congested_clique(
             g, 3, seed=seed,
             params=AlgorithmParameters(
-                p=3, execution=ExecutionConfig(plane="parallel", workers=2)
+                p=3, execution=ExecutionConfig(workers=2)
             ),
         )
         dist = list_cliques_congested_clique(
@@ -508,12 +464,11 @@ class TestDriverParity:
         assert dist.per_node == batch.per_node
         assert ledger_rows(dist) == ledger_rows(batch)
 
-    def test_degenerate_empty_hosts(self, force_sharding):
+    def test_degenerate_single_local_node(self, force_sharding):
         g = create_workload("er").instance(48, seed=0)
         batch = list_cliques_congested_clique(g, 3, seed=0)
         dist = list_cliques_congested_clique(
-            g, 3, seed=0,
-            params=AlgorithmParameters(p=3, execution=ExecutionConfig(plane="dist")),
+            g, 3, seed=0, params=dist_params(3, ("local",))
         )
         assert sorted_listing(dist) == sorted_listing(batch)
         assert dist.per_node == batch.per_node
@@ -577,15 +532,15 @@ class TestDriverParity:
 # AlgorithmParameters plumbing
 # ----------------------------------------------------------------------
 class TestParams:
-    def test_dist_plane_accepted(self):
+    def test_hosts_accepted(self):
         params = AlgorithmParameters(
-            p=3, execution=ExecutionConfig(plane="dist", hosts=("local",))
+            p=3, execution=ExecutionConfig(hosts=("local",))
         )
         assert params.execution.hosts == ("local",)
 
     def test_hosts_frozen_to_tuple(self):
         params = AlgorithmParameters(
-            p=3, execution=ExecutionConfig(plane="dist", hosts=["a:1", "b:2"])
+            p=3, execution=ExecutionConfig(hosts=["a:1", "b:2"])
         )
         assert params.execution.hosts == ("a:1", "b:2")
         assert isinstance(hash(params), int)
@@ -593,11 +548,11 @@ class TestParams:
     def test_bad_hosts_rejected(self):
         with pytest.raises(ValueError):
             AlgorithmParameters(
-                p=3, execution=ExecutionConfig(plane="dist", hosts=("", "x:1"))
+                p=3, execution=ExecutionConfig(hosts=("", "x:1"))
             )
         with pytest.raises(ValueError):
             AlgorithmParameters(
-                p=3, execution=ExecutionConfig(plane="dist", hosts=(7,))
+                p=3, execution=ExecutionConfig(hosts=(7,))
             )
 
 
@@ -727,7 +682,7 @@ class TestCliDistributed:
             main(
                 [
                     "sweep", "--workloads", "sparse", "--n", "20", "--p", "3",
-                    "--distributed", "--hosts", "local,local",
+                    "--hosts", "local,local",
                     "--cache-dir", "",
                 ]
             )
@@ -735,26 +690,26 @@ class TestCliDistributed:
         )
         assert "sparse" in capsys.readouterr().out
 
-    def test_hosts_without_distributed_rejected(self):
+    def test_hosts_with_workers_rejected(self):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="requires --distributed"):
-            main(["sweep", "--workloads", "sparse", "--n", "8", "--p", "3",
-                  "--hosts", "local", "--cache-dir", ""])
+        with pytest.raises(SystemExit, match="two executors"):
+            main(["list", "--n", "8", "--p", "3", "--workers", "2",
+                  "--hosts", "local"])
 
-    def test_distributed_without_hosts_rejected(self):
-        from repro.cli import main
+    def test_distributed_flag_removed(self):
+        from repro.cli import make_parser
 
-        with pytest.raises(SystemExit, match="requires --hosts"):
-            main(["sweep", "--workloads", "sparse", "--n", "8", "--p", "3",
-                  "--distributed", "--cache-dir", ""])
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args(["sweep", "--distributed", "--hosts", "local"])
+        assert exc.value.code == 2
 
     def test_malformed_hosts_rejected(self):
         from repro.cli import main
 
         with pytest.raises(SystemExit, match="invalid --hosts"):
             main(["sweep", "--workloads", "sparse", "--n", "8", "--p", "3",
-                  "--distributed", "--hosts", "host:badport", "--cache-dir", ""])
+                  "--hosts", "host:badport", "--cache-dir", ""])
 
     @pytest.mark.parametrize("command", [
         ["sweep", "--workloads", "sparse", "--n", "8", "--p", "3",

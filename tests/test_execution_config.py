@@ -5,8 +5,8 @@ cross-cutting run knobs — plane/workers/hosts, faults, cost model,
 topology, materialization — with :class:`AlgorithmParameters` composing
 it as its only execution surface and the CLI declaring it once
 through ``add_execution_args`` / ``execution_config_from_args``.  These
-tests pin the composition rules, the single plane→executor seam, and
-the shared-flag parsing/validation of every subcommand.
+tests pin the composition rules, the single workers/hosts→executor
+resolver, and the shared-flag parsing/validation of every subcommand.
 """
 
 import dataclasses
@@ -17,7 +17,9 @@ from repro.congest.routing import DEFAULT_COST_MODEL
 from repro.congest.topology import Topology
 from repro.core.config import ExecutionConfig
 from repro.core.params import AlgorithmParameters
+from repro.dist import Cluster
 from repro.faults import FaultModel
+from repro.parallel import ShardExecutor
 
 
 class TestExecutionConfig:
@@ -56,8 +58,8 @@ class TestExecutionConfig:
         assert ExecutionConfig().topology_spec() is None
 
     def test_with_(self):
-        config = ExecutionConfig().with_(plane="parallel", workers=3)
-        assert (config.plane, config.workers) == ("parallel", 3)
+        config = ExecutionConfig().with_(plane="object", materialize=True)
+        assert (config.plane, config.materialize) == ("object", True)
         # frozen: no in-place mutation
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.plane = "batch"
@@ -66,14 +68,27 @@ class TestExecutionConfig:
         assert ExecutionConfig().resolve_executor() is None
         assert ExecutionConfig(plane="object").resolve_executor() is None
 
-    def test_resolve_executor_is_the_dist_seam(self):
-        # The parallel plane goes through repro.dist.resolve_executor —
-        # one seam for every entry point.
-        executor = ExecutionConfig(plane="parallel", workers=2).resolve_executor()
-        assert executor is not None
-        from repro.dist.cluster import resolve_executor
+    @pytest.mark.parametrize(
+        "kwargs, executor_type",
+        [({"workers": 2}, ShardExecutor), ({"hosts": ("local",)}, Cluster)],
+    )
+    def test_resolve_executor_derives_from_workers_and_hosts(
+        self, kwargs, executor_type
+    ):
+        executor = ExecutionConfig(**kwargs).resolve_executor()
+        assert type(executor) is executor_type
 
-        assert type(executor) is type(resolve_executor("parallel", workers=2))
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"workers": 2, "hosts": ("local",)}, "two executors"),
+            ({"plane": "object", "workers": 2}, "no shard executor"),
+            ({"plane": "parallel"}, "workers=N"),
+        ],
+    )
+    def test_contradictory_executor_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ExecutionConfig(**kwargs)
 
 
 class TestParamsComposition:
@@ -125,15 +140,13 @@ class TestCliExecutionParent:
         config = self._config(["list", "--n", "16"])
         assert config == ExecutionConfig()
 
-    def test_workers_derive_parallel_plane(self):
+    def test_workers_select_the_pool(self):
         config = self._config(["list", "--n", "16", "--workers", "3"])
-        assert (config.plane, config.workers) == ("parallel", 3)
+        assert (config.plane, config.workers) == ("batch", 3)
 
-    def test_distributed_derives_dist_plane(self):
-        config = self._config(
-            ["list", "--n", "16", "--distributed", "--hosts", "local,local"]
-        )
-        assert config.plane == "dist"
+    def test_hosts_select_the_cluster(self):
+        config = self._config(["list", "--n", "16", "--hosts", "local,local"])
+        assert config.plane == "batch"
         assert config.hosts == ("local", "local")
 
     def test_explicit_plane_wins(self):
@@ -153,17 +166,20 @@ class TestCliExecutionParent:
 
     def test_stream_and_serve_share_the_parent(self):
         stream = self._config(["stream", "--n", "16", "--workers", "2"])
-        assert stream.plane == "parallel"
+        assert stream.workers == 2
         serve = self._config(["serve", "--n", "16", "--workers", "2"])
         assert serve.workers == 2
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["list", "--n", "16", "--plane", "dist"], "requires --distributed"),
             (
-                ["list", "--n", "16", "--plane", "batch", "--workers", "2"],
-                "parallel plane",
+                ["list", "--n", "16", "--workers", "2", "--hosts", "local"],
+                "two executors",
+            ),
+            (
+                ["list", "--n", "16", "--plane", "object", "--workers", "2"],
+                "no shard executor",
             ),
             (["list", "--n", "16", "--topology", "torus"], "invalid --topology"),
         ],
@@ -215,9 +231,10 @@ class TestCliExecutionParent:
             "spanner:3@lat=1",
         ]
 
-    def test_sweep_rejects_plane_dist(self):
-        from repro.cli import main
+    @pytest.mark.parametrize("plane", ["parallel", "dist"])
+    def test_plane_choices_are_representations_only(self, plane):
+        from repro.cli import make_parser
 
-        with pytest.raises(SystemExit, match="not a per-cell plane"):
-            main(["sweep", "--n", "8", "--p", "3", "--plane", "dist",
-                  "--cache-dir", ""])
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args(["sweep", "--n", "8", "--plane", plane])
+        assert exc.value.code == 2

@@ -107,9 +107,7 @@ class TestCongestedCliqueDifferential:
         clean = list_cliques_congested_clique(g, 3, seed=1)
         params = AlgorithmParameters(
             p=3,
-            execution=ExecutionConfig(
-                plane="parallel", workers=2, faults=BOUNDED_FAULTS
-            ),
+            execution=ExecutionConfig(workers=2, faults=BOUNDED_FAULTS),
         )
         faulted = list_cliques_congested_clique(g, 3, params=params, seed=1)
         assert faulted.cliques == clean.cliques

@@ -1,15 +1,21 @@
-"""Differential tests: parallel shard plane vs single-core batch plane.
+"""Differential tests: the local process-pool executor vs one core.
 
-The parallel plane must be a *drop-in* for the batch plane: identical
-ledger charges (phase names, rounds, stats), identical clique sets and
-per-node attribution from both end-to-end drivers, identical maintained
-stream counts — across every static workload family, several seeds, and
-including the ``workers=1`` degenerate mode.  The shard threshold is
-forced to zero throughout so even toy instances exercise the real pool
-path (shared-memory transport, worker-side delivery, shard merge).
+``ExecutionConfig(workers=N)`` must be a *drop-in* for the single-core
+batch plane: identical ledger charges (phase names, rounds, stats),
+identical clique sets and per-node attribution from both end-to-end
+drivers, identical maintained stream counts — across every static
+workload family, several seeds, and including the ``workers=1``
+degenerate mode.  The shard threshold is forced to zero throughout so
+even toy instances exercise the real pool path (shared-memory
+transport, worker-side delivery, shard merge).
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -76,7 +82,7 @@ def sorted_listing(result):
 
 def parallel_params(p, workers, **kw):
     return AlgorithmParameters(
-        p=p, execution=ExecutionConfig(plane="parallel", workers=workers), **kw
+        p=p, execution=ExecutionConfig(workers=workers), **kw
     )
 
 
@@ -313,6 +319,46 @@ class TestExecutorKernels:
         executor.close()
         executor.close()
         assert executor.count_csr(g.to_csr(), 3) == first
+
+    def test_dead_worker_raises_node_failure_then_recovers(self):
+        """A pool worker that dies mid-shard ends the call with a typed
+        error within 10 s, and the next call on the same executor builds
+        a fresh pool.  Runs in a child interpreter, so a regression (a
+        hang) fails at the timeout instead of hanging the suite."""
+        script = textwrap.dedent(
+            """
+            import os, time
+            from repro.dist.errors import NodeFailure
+            from repro.graphs.csr import count_cliques_csr
+            from repro.parallel import ShardExecutor, executor
+            from repro.workloads import create_workload
+
+            def exit_shard(refs, die):
+                if die:
+                    os._exit(1)
+                return 0
+
+            executor.MIN_PARALLEL_ITEMS = 0
+            pool = ShardExecutor(2)
+            start = time.monotonic()
+            try:
+                pool._run(exit_shard, {}, [(True,), (False,)])
+            except NodeFailure:
+                assert time.monotonic() - start < 10
+            else:
+                raise AssertionError("a dead worker went unreported")
+            csr = create_workload("er", density=0.2).instance(60, seed=1).to_csr()
+            assert pool.count_csr(csr, 3) == count_cliques_csr(csr, 3)
+            pool.close()
+            print("ok")
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=30, env=env,
+        )
+        assert (done.returncode, done.stdout.strip()) == (0, "ok"), done.stderr
 
     def test_registry_shutdown_and_default_workers(self, force_sharding):
         from repro.parallel import default_workers, shutdown_executors

@@ -111,12 +111,15 @@ class TestEpochSnapshot:
             snap.listing_result(3, plane="fpga")
 
     def test_listing_result_resolves_the_requested_plane(self, executor_resolutions):
-        """``plane="parallel"`` routes *and* resolves its executor on the
-        parallel plane (``workers=1``: inline, no process pool)."""
+        """The retired ``plane="parallel"`` spelling is rejected;
+        ``plane="object"`` routes on the object plane and resolves no
+        executor."""
         _, snap = self._snap()
-        result = snap.listing_result(3, seed=0, plane="parallel")
-        assert [plane for plane, _ in executor_resolutions] == ["parallel"]
-        assert executor_resolutions[0][1] is not None
+        with pytest.raises(ValueError, match="workers=N"):
+            snap.listing_result(3, seed=0, plane="parallel")
+        result = snap.listing_result(3, seed=0, plane="object")
+        assert ("object", None) in executor_resolutions
+        assert all(executor is None for _, executor in executor_resolutions)
         assert result.cliques == snap.listing_result(3, seed=0).cliques
 
     def test_learned_is_attributed_subset(self):

@@ -398,13 +398,15 @@ class TestListingCachePlaneKeys:
 
     def test_requested_plane_resolves_its_executor(self, executor_resolutions):
         """The plane a run routes on and the executor it resolves come
-        from one ExecutionConfig: ``plane="parallel"`` must resolve the
-        parallel executor (``workers=1``, the inline degenerate mode),
-        not fall back to the central batch path."""
+        from one ExecutionConfig: a plane names the representation only,
+        so the retired ``"parallel"`` spelling is rejected, and
+        ``plane="object"`` resolves no executor."""
         qe = self._engine()
-        result = qe.listing_result(3, seed=0, plane="parallel")
-        assert [plane for plane, _ in executor_resolutions] == ["parallel"]
-        assert executor_resolutions[0][1] is not None
+        with pytest.raises(ValueError, match="workers=N"):
+            qe.listing_result(3, seed=0, plane="parallel")
+        result = qe.listing_result(3, seed=0, plane="object")
+        assert ("object", None) in executor_resolutions
+        assert all(executor is None for _, executor in executor_resolutions)
         assert result.cliques == qe.listing_result(3, seed=0).cliques
 
 

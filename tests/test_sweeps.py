@@ -13,6 +13,7 @@ from repro.analysis.sweeps import (
 )
 from repro.core.config import ExecutionConfig
 from repro.faults import FaultModel
+from repro.parallel import get_executor
 
 
 def small_spec(**overrides):
@@ -155,16 +156,16 @@ class TestExecution:
         assert [r["cliques"] for r in inline.rows] == [r["cliques"] for r in fanned.rows]
 
     def test_execution_override_reaches_the_driver(self, executor_resolutions):
-        """An ``algo_overrides["execution"]`` entry routes every cell on
-        its plane (and resolves that plane's executor); charges and
-        counts match the default batch rows."""
-        parallel = {"execution": ExecutionConfig(plane="parallel")}
+        """An ``algo_overrides["execution"]`` entry reaches every cell
+        (which resolves its executor from it); charges and counts match
+        the default single-core rows."""
+        pooled = {"execution": ExecutionConfig(workers=2)}
         for model in ("congest", "congested-clique"):
             spec = dict(workloads=["er"], sizes=[20], model=model)
             (batch,) = run_sweep(small_spec(**spec)).rows
             executor_resolutions.clear()
-            (par,) = run_sweep(small_spec(**spec, algo_overrides=parallel)).rows
-            assert {plane for plane, _ in executor_resolutions} <= {"parallel"}
+            (par,) = run_sweep(small_spec(**spec, algo_overrides=pooled)).rows
+            assert all(ex is get_executor(2) for _, ex in executor_resolutions)
             assert (par["rounds"], par["cliques"]) == (batch["rounds"], batch["cliques"])
         assert executor_resolutions  # the congested-clique cell resolved one
 

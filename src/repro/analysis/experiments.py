@@ -94,7 +94,7 @@ def run_congest_sweep(
             n=n,
             m=g.num_edges,
             rounds=result.rounds,
-            cliques=len(result.cliques),
+            cliques=result.num_cliques,
             outer_iterations=result.stats.get("outer_iterations", 0.0),
             theory=bounds.this_paper_k4(n)
             if label == "k4"
@@ -134,7 +134,7 @@ def run_congested_clique_sweep(
             m=m,
             rounds=result.rounds,
             learn_rounds=result.ledger.rounds_by_prefix("learn_edges"),
-            cliques=len(result.cliques),
+            cliques=result.num_cliques,
             theory=bounds.this_paper_congested_clique(n, p, m),
             general_measured=general.rounds,
         )

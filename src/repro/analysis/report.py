@@ -89,7 +89,7 @@ def experiment_e2_phase_swap() -> ExperimentTable:
             rounds=round(result.rounds, 1),
             gather_light=round(gather_light, 1),
             light_listing=round(light_listing, 1),
-            cliques=len(result.cliques),
+            cliques=result.num_cliques,
         )
     return table
 
@@ -119,7 +119,7 @@ def _congest_sweep_with_params(p, sizes, params, name) -> ExperimentTable:
             n=n,
             m=g.num_edges,
             rounds=round(result.rounds, 1),
-            cliques=len(result.cliques),
+            cliques=result.num_cliques,
             outer=result.stats["outer_iterations"],
             theory_n_e=round(theory, 1),
         )

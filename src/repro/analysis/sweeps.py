@@ -70,10 +70,11 @@ from repro.workloads import create_workload
 #    rather than mixed with fault-aware rows.
 # 7: columnar clique tables became the canonical result type: runs now
 #    verify and count through the frozen `(count, p)` table instead of
-#    materialized frozensets, and the `materialize` knob joined the spec
-#    (and thus the key).  Numbers are identical, but format-6 rows were
-#    produced before the table differential certified that, so they are
-#    retired rather than grandfathered.
+#    python frozensets, and a frozenset-path switch joined the spec (and
+#    thus the key; the switch is gone, its key entry stays constant).
+#    Numbers are identical, but format-6 rows were produced before the
+#    table differential certified that, so they are retired rather than
+#    grandfathered.
 # 8: the topology axis landed: the `topology` overlay spec joined the
 #    RunSpec (and thus the key), and every row now carries a topology-
 #    aware `makespan` next to its uniform `rounds`.  Clique rounds are
@@ -106,7 +107,6 @@ class RunSpec:
     seed: int
     verify: bool
     extra: Tuple[Tuple[str, Any], ...] = ()
-    materialize: bool = False
     topology: Optional[str] = None
 
     def cache_key(self) -> str:
@@ -123,7 +123,7 @@ class RunSpec:
                 "seed": self.seed,
                 "verify": self.verify,
                 "extra": list(self.extra),
-                "materialize": self.materialize,
+                "materialize": False,  # a constant: keeps existing keys valid
                 "topology": self.topology,
             },
             sort_keys=True,
@@ -162,11 +162,6 @@ class SweepSpec:
         ``{"execution": ExecutionConfig(plane="object")}`` for a
         per-cell routing plane or fault seam (its repr feeds the cache
         key).
-    materialize:
-        When ``True``, count/verify runs through materialized python
-        frozensets (the legacy path).  Default ``False`` keeps every
-        run on the columnar :class:`~repro.graphs.table.CliqueTable`
-        path — identical numbers, no per-clique python objects.
     topologies:
         Overlay-topology axis (:mod:`repro.congest.topology` spec
         strings, e.g. ``["clique", "star", "spanner:3"]``; ``None`` is
@@ -183,7 +178,6 @@ class SweepSpec:
     seed: int = 0
     verify: bool = True
     algo_overrides: Mapping[str, Any] = field(default_factory=dict)
-    materialize: bool = False
     topologies: Sequence[Optional[str]] = (None,)
 
     def runs(self) -> List[RunSpec]:
@@ -234,7 +228,6 @@ class SweepSpec:
                                     seed=self.seed,
                                     verify=self.verify,
                                     extra=_freeze(self.algo_overrides),
-                                    materialize=self.materialize,
                                     topology=topology,
                                 )
                             )
@@ -282,16 +275,9 @@ def execute_run(spec: RunSpec) -> Dict[str, Any]:
         variant = "-"
         theory = bounds.this_paper_congested_clique(spec.n, spec.p, graph.num_edges)
     if spec.verify:
-        if spec.materialize:
-            # Legacy path: verify against a materialized frozenset truth.
-            from repro.graphs.cliques import enumerate_cliques
-
-            truth = enumerate_cliques(graph, spec.p)
-            verify_listing(graph, result, truth=truth).raise_if_failed()
-        else:
-            # Table differential: verify_listing compares canonical
-            # (count, p) matrices directly — no python sets built.
-            verify_listing(graph, result).raise_if_failed()
+        # Table differential: verify_listing compares canonical (count, p)
+        # matrices directly — no python sets built.
+        verify_listing(graph, result).raise_if_failed()
 
     phase_rounds: Dict[str, float] = {}
     for phase in result.ledger.phases():
@@ -309,7 +295,7 @@ def execute_run(spec: RunSpec) -> Dict[str, Any]:
         "rounds": result.rounds,
         "makespan": result.makespan,
         "topology": spec.topology or "clique",
-        "cliques": len(result.cliques) if spec.materialize else result.num_cliques,
+        "cliques": result.num_cliques,
         "theory": theory,
         "ratio": result.rounds / theory if theory else float("inf"),
         "wall_seconds": wall,

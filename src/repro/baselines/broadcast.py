@@ -18,8 +18,10 @@ on dense graphs:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.result import ListingResult
-from repro.graphs.cliques import enumerate_cliques
+from repro.graphs.cliques import clique_table
 from repro.graphs.graph import Graph
 from repro.graphs.orientation import degeneracy_orientation
 from repro.graphs.properties import max_degree
@@ -27,12 +29,12 @@ from repro.graphs.properties import max_degree
 
 def neighborhood_broadcast_listing(graph: Graph, p: int) -> ListingResult:
     """Full-adjacency broadcast: Δ rounds; every member lists its cliques."""
-    result = ListingResult(p=p, model="broadcast-neighborhood", cliques=set())
+    result = ListingResult(p=p, model="broadcast-neighborhood")
     delta = max_degree(graph)
     result.ledger.charge("broadcast_adjacency", float(delta), max_degree=delta)
-    for clique in enumerate_cliques(graph, p):
-        for member in clique:
-            result.attribute(member, clique)
+    rows = clique_table(graph, p).rows
+    # Row i of the repeat is clique i // p, listed by its member i % p.
+    result.attribute_table(rows.ravel(), np.repeat(rows, p, axis=0))
     return result
 
 
@@ -44,12 +46,12 @@ def broadcast_listing(graph: Graph, p: int) -> ListingResult:
     node reconstructs all cliques through itself; the minimum member
     outputs each.
     """
-    result = ListingResult(p=p, model="broadcast-orientation", cliques=set())
+    result = ListingResult(p=p, model="broadcast-orientation")
     orientation = degeneracy_orientation(graph)
     out_degree = orientation.max_out_degree
     result.ledger.charge(
         "broadcast_out_edges", 2.0 * max(1, out_degree), out_degree=out_degree
     )
-    for clique in enumerate_cliques(graph, p):
-        result.attribute(min(clique), clique)
+    table = clique_table(graph, p)
+    result.attribute_table(table.owners(), table.rows)
     return result

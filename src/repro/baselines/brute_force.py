@@ -8,14 +8,14 @@ zero rounds.  Benchmarks use it as the correctness oracle and as the
 from __future__ import annotations
 
 from repro.core.result import ListingResult
-from repro.graphs.cliques import enumerate_cliques
+from repro.graphs.cliques import clique_table
 from repro.graphs.graph import Graph
 
 
 def brute_force_listing(graph: Graph, p: int) -> ListingResult:
     """Enumerate all Kp centrally; attribute each to its minimum member."""
-    result = ListingResult(p=p, model="brute-force", cliques=set())
-    for clique in enumerate_cliques(graph, p):
-        result.attribute(min(clique), clique)
-    result.ledger.charge("sequential_enumeration", 0.0, cliques=len(result.cliques))
+    result = ListingResult(p=p, model="brute-force")
+    table = clique_table(graph, p)
+    result.attribute_table(table.owners(), table.rows)
+    result.ledger.charge("sequential_enumeration", 0.0, cliques=result.num_cliques)
     return result

@@ -15,13 +15,13 @@ this baseline stays at n^{1−2/p}.
 from __future__ import annotations
 
 import math
-from typing import Optional
+
+import numpy as np
 
 from repro.congest.congested_clique import CongestedClique
-from repro.core.params import AlgorithmParameters
-from repro.core.partition import responsible_new_id
+from repro.core.partition import responsible_index_array
 from repro.core.result import ListingResult
-from repro.graphs.cliques import enumerate_cliques
+from repro.graphs.cliques import clique_table
 from repro.graphs.graph import Graph
 
 
@@ -30,7 +30,7 @@ def general_congested_clique_listing(graph: Graph, p: int) -> ListingResult:
     if p < 3:
         raise ValueError(f"p must be >= 3, got {p}")
     n = graph.num_nodes
-    result = ListingResult(p=p, model="cc-general", cliques=set())
+    result = ListingResult(p=p, model="cc-general")
     if n == 0 or p > n:
         return result
 
@@ -53,10 +53,8 @@ def general_congested_clique_listing(graph: Graph, p: int) -> ListingResult:
         theory_rounds=n ** (1.0 - 2.0 / p),
     )
 
-    part_of = [min(s - 1, v // block) for v in range(n)]
-    for clique in enumerate_cliques(graph, p):
-        multiset = [part_of[v] for v in sorted(clique)]
-        node = responsible_new_id(multiset, s, p) - 1
-        result.attribute(node, clique)
+    part_of = np.minimum(s - 1, np.arange(n, dtype=np.int64) // block)
+    rows = clique_table(graph, p).rows
+    result.attribute_table(responsible_index_array(part_of[rows], s), rows)
     result.stats.update({"n": float(n), "parts": float(s)})
     return result

@@ -21,7 +21,6 @@ main algorithm, so "who wins at which n" comparisons are apples-to-apples.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Optional, Set
 
 import numpy as np
 
@@ -31,11 +30,9 @@ from repro.core.heavy_light import classify_outside_neighbors
 from repro.core.params import AlgorithmParameters
 from repro.core.result import ListingResult
 from repro.decomposition.expander import expander_decomposition
-from repro.graphs.cliques import enumerate_cliques
+from repro.graphs.cliques import clique_table, rows_touching_edges
 from repro.graphs.graph import Graph
 from repro.graphs.orientation import degeneracy_orientation
-
-Clique = FrozenSet[int]
 
 
 def eden_k4_listing(
@@ -62,22 +59,21 @@ def eden_k4_listing(
     """
     p = 4
     n = graph.num_nodes
-    result = ListingResult(p=p, model="eden-k4", cliques=set())
+    result = ListingResult(p=p, model="eden-k4")
     ledger = result.ledger
     if n == 0 or p > n:
         return result
 
-    truth = enumerate_cliques(graph, p)
+    truth = clique_table(graph, p).rows
     heavy_threshold = max(1, math.ceil(n**heavy_exponent))
     threshold = max(1, math.ceil(n ** (2.0 / 3.0) / math.log2(max(2, n))))
     current = graph.copy()
     level = 0
-    remaining: Set[Clique] = set(truth)
+    remaining = np.ones(truth.shape[0], dtype=bool)
 
     while current.num_edges > 0 and level < math.ceil(math.log2(max(4, n))) + 2:
         decomposition = expander_decomposition(current, threshold=threshold, ledger=ledger)
         ledger.phases()[-1].name = f"level[{level}]/decomposition"
-        covered_edges = set(decomposition.em_edges)
         phase_heavy = 0.0
         phase_light = 0.0
         phase_cluster = 0.0
@@ -109,15 +105,11 @@ def eden_k4_listing(
         ledger.charge(f"level[{level}]/light_query", phase_light)
         ledger.charge(f"level[{level}]/cluster_listing", phase_cluster)
 
-        # Every K4 with an edge in Em is listed at this level.
-        listed_here = {
-            clique
-            for clique in remaining
-            if _has_edge_in(clique, covered_edges)
-        }
-        for clique in listed_here:
-            result.attribute(min(clique), clique)
-        remaining -= listed_here
+        # Every K4 with an edge in Em is listed at this level, by its
+        # minimum member (column 0: rows ascend).
+        here = remaining & rows_touching_edges(truth, decomposition.em_edges, n)
+        result.attribute_table(truth[here, 0], truth[here])
+        remaining &= ~here
         next_edges = decomposition.es_edges | decomposition.er_edges
         if len(next_edges) >= current.num_edges:
             break
@@ -127,16 +119,6 @@ def eden_k4_listing(
     # Remnant: broadcast out-edges (sparse by now).
     orientation = degeneracy_orientation(current)
     ledger.charge("final_broadcast", 2.0 * max(1, orientation.max_out_degree))
-    for clique in remaining:
-        result.attribute(min(clique), clique)
+    result.attribute_table(truth[remaining, 0], truth[remaining])
     result.stats["levels"] = float(level)
     return result
-
-
-def _has_edge_in(clique: Clique, edges: Set) -> bool:
-    members = sorted(clique)
-    for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            if (u, v) in edges:
-                return True
-    return False

@@ -25,10 +25,8 @@ shares one *execution* flag group — declared once by
 ``--plane`` (``batch`` arrays or the ``object`` reference, where
 supported), the shard executor — ``--workers`` (a local process pool)
 or ``--hosts`` (a node cluster, where supported) — ``--topology``
-(overlay makespan accounting, see ``docs/topologies.md``),
-``--materialize`` / ``--no-materialize`` (python frozensets vs the
-columnar ``CliqueTable`` path — counts and round charges identical
-either way) and ``--fault-seed``/``--drop-rate`` (the fault seam).
+(overlay makespan accounting, see ``docs/topologies.md``) and
+``--fault-seed``/``--drop-rate`` (the fault seam).
 
 Sub-commands
 ------------
@@ -112,14 +110,15 @@ def cmd_list(args: argparse.Namespace) -> int:
     if args.verify:
         verify_listing(graph, result).raise_if_failed()
         print("verified: complete and sound", file=sys.stderr)
-    print(f"cliques: {len(result.cliques)}")
+    print(f"cliques: {result.num_cliques}")
     print(f"rounds:  {result.rounds:.1f}")
     if config.topology is not None:
         print(f"makespan: {result.makespan:.1f} on {config.topology.spec()}")
     if args.show_ledger:
         print(result.ledger.summary())
     if args.show_cliques:
-        for clique in sorted(sorted(c) for c in result.cliques):
+        # Canonical table rows: members ascending, rows lexicographic.
+        for clique in result.table().rows.tolist():
             print(" ".join(map(str, clique)))
     return 0
 
@@ -236,19 +235,6 @@ def _fault_model_from_args(args: argparse.Namespace):
     return FaultModel(seed=args.fault_seed or 0, drop_rate=args.drop_rate)
 
 
-def _add_materialize_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--materialize",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help=(
-            "build python frozensets for verification/clique reads "
-            "(legacy path); default stays on the columnar CliqueTable "
-            "path — identical counts and round charges either way"
-        ),
-    )
-
-
 def _add_fault_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--fault-seed",
@@ -291,7 +277,7 @@ def add_execution_args(
     """Declare the shared execution surface on a subcommand parser.
 
     One declaration site for ``--plane/--workers/--hosts/--topology/
-    --materialize/--fault-seed/--drop-rate`` — every subcommand used to
+    --fault-seed/--drop-rate`` — every subcommand used to
     re-declare its own subset with drifting help text.  ``plane=False``
     omits the plane/cluster flags (stream/serve run the engine
     single-box), ``topology=None`` omits ``--topology``,
@@ -355,7 +341,6 @@ def add_execution_args(
             "clique|star|ring|chain|grid|spanner, e.g. grid:8@bw=0.5 "
             "— clique keeps charges byte-identical to the default",
         )
-    _add_materialize_arg(group)
     if faults:
         _add_fault_args(group)
 
@@ -386,7 +371,6 @@ def execution_config_from_args(args: argparse.Namespace) -> ExecutionConfig:
             workers=getattr(args, "workers", 1),
             hosts=hosts,
             faults=faults,
-            materialize=getattr(args, "materialize", False),
             topology=topology,
         )
     except (TypeError, ValueError) as exc:
@@ -459,7 +443,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         verify=not args.no_verify,
         algo_overrides=algo_overrides,
-        materialize=config.materialize,
         topologies=topologies if topologies else (None,),
     )
     try:
@@ -478,7 +461,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_stream(args: argparse.Namespace) -> int:
-    from repro.graphs.cliques import clique_table, enumerate_cliques
+    from repro.graphs.cliques import clique_table
     from repro.stream import QueryEngine, StreamEngine
     from repro.workloads import available_stream_workloads, create_workload
 
@@ -528,14 +511,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
     if args.verify:
         final = engine.graph()
         for p in ps:
-            if config.materialize:
-                # Legacy check through python frozensets.
-                ok = engine.cliques(p) == enumerate_cliques(final, p)
-            else:
-                # Table differential: compare canonical (count, p)
-                # matrices, no per-clique python objects built.
-                ok = engine.clique_result(p) == clique_table(final, p)
-            if not ok:
+            # Table differential: compare canonical (count, p) matrices,
+            # no per-clique python objects built.
+            if engine.clique_result(p) != clique_table(final, p):
                 truth_count = len(clique_table(final, p))
                 raise SystemExit(
                     f"stream verification FAILED at p={p}: engine has "
@@ -616,7 +594,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         compact_every=args.compact_every,
         workers=config.workers,
         query_threads=args.query_threads,
-        materialize=config.materialize,
+        # Clique reads answer with the epoch's CliqueTable, no frozensets.
+        materialize=False,
     )
     print(
         f"serve: {args.family} n={args.n} seed={args.seed} ps={ps} "

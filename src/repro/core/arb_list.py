@@ -20,11 +20,12 @@ current graph with an edge in Êm appears in the output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
 from repro.congest.ledger import RoundLedger
+from repro.congest.topology import makespan_for_rounds
 from repro.core.cluster_task import process_cluster
 from repro.core.k4 import sequential_light_phase
 from repro.core.params import AlgorithmParameters, K4_VARIANT
@@ -104,9 +105,12 @@ def arb_list(
         ledger=ledger,
         params=DecompositionParams(threshold=state.threshold, phi=params.phi),
     )
-    # Rename the decomposition charge under this invocation's prefix.
+    # Rename the decomposition charge under this invocation's prefix and
+    # price it on the topology.
+    topology = params.execution.topology
     last = ledger.phases()[-1]
     last.name = f"{phase_prefix}/expander_decomposition"
+    last.makespan = makespan_for_rounds(topology, last.rounds)
 
     # Fold E's into Ês.
     state.es_edges |= decomposition.es_edges
@@ -118,7 +122,7 @@ def arb_list(
     listed: List[Attribution] = []
     goal_edges: Set[Edge] = set()
     bad_edges: Set[Edge] = set()
-    phase_max: Dict[str, float] = {}
+    phase_max: Dict[str, Tuple[float, float]] = {}
     stats: Dict[str, float] = {
         "clusters": float(len(decomposition.clusters)),
         "er_in": float(len(state.er_edges)),
@@ -134,8 +138,9 @@ def arb_list(
         listed.append(outcome)
         goal_edges |= outcome.goal_edges
         bad_edges |= outcome.bad_edges
-        for phase, rounds in outcome.phase_rounds.items():
-            phase_max[phase] = max(phase_max.get(phase, 0.0), rounds)
+        for phase, (rounds, makespan) in outcome.phase_costs.items():
+            worst = phase_max.get(phase, (0.0, 0.0))
+            phase_max[phase] = (max(worst[0], rounds), max(worst[1], makespan))
         for key, value in outcome.stats.items():
             stat_max[key] = max(stat_max.get(key, 0.0), float(value))
 
@@ -153,7 +158,7 @@ def arb_list(
         ),
         "partition": ("sparsity_parts", "cluster_size"),
     }
-    for phase, rounds in phase_max.items():
+    for phase, (rounds, makespan) in phase_max.items():
         attached = {
             key.replace("sparsity_", ""): stat_max[key]
             for key in _PHASE_STATS.get(phase, ())
@@ -166,10 +171,13 @@ def arb_list(
             ledger.charge_recovery(
                 f"{phase_prefix}/{phase}",
                 rounds,
+                makespan=makespan,
                 retries=stat_max.get("fault_retries", 0.0),
             )
         else:
-            ledger.charge(f"{phase_prefix}/{phase}", rounds, **attached)
+            ledger.charge(
+                f"{phase_prefix}/{phase}", rounds, makespan=makespan, **attached
+            )
 
     # K4 variant (§3): light-incident outside edges were never gathered;
     # C-light nodes list those K4 themselves, clusters one after another.
@@ -180,6 +188,7 @@ def arb_list(
                 [(cluster.nodes, outcome.light) for cluster, outcome in cluster_outcomes],
                 ledger,
                 f"{phase_prefix}/light_listing",
+                topology=topology,
             )
         )
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.congest.ledger import RoundLedger
 from repro.congest.routing import ClusterRouter
+from repro.congest.topology import makespan_for_rounds
 from repro.core.bad_edges import BadEdgeSplit, split_bad_edges
 from repro.core.gather import gather_outside_edges
 from repro.core.heavy_light import classify_outside_neighbors
@@ -49,15 +50,16 @@ class ClusterOutcome(Attribution):
         Cluster edges demoted to Êr (empty in the K4 variant).
     goal_edges:
         Cluster edges whose Kp obligations this iteration fulfilled.
-    phase_rounds:
-        Phase name -> rounds for this cluster (ARB-LIST takes maxima).
+    phase_costs:
+        Phase name -> (rounds, makespan) for this cluster (ARB-LIST
+        takes the maximum of each).
     stats:
         Measured quantities for reports.
     """
 
     bad_edges: FrozenSet[Edge]
     goal_edges: FrozenSet[Edge]
-    phase_rounds: Dict[str, float]
+    phase_costs: Dict[str, Tuple[float, float]]
     light: FrozenSet[int] = frozenset()
     members: Tuple[int, ...] = ()
     stats: Dict[str, float] = field(default_factory=dict)
@@ -88,13 +90,21 @@ def process_cluster(
     n = graph.num_nodes
     members = sorted(cluster.nodes)
     k4_mode = params.variant == K4_VARIANT
-    phase_rounds: Dict[str, float] = {}
+    execution = params.execution
+    # Phase -> (rounds, makespan).  The reshuffle keeps the makespan its
+    # router priced; every other phase is priced on the topology from
+    # its rounds, as sparsity-aware listing prices its own rows.
+    phase_costs: Dict[str, Tuple[float, float]] = {}
+
+    def price(phase: str, rounds: float) -> None:
+        phase_costs[phase] = (rounds, makespan_for_rounds(execution.topology, rounds))
+
     stats: Dict[str, float] = {"cluster_size": float(len(members))}
 
     # -- Phase 1: heavy/light classification.
     heavy_threshold = params.heavy_threshold(n, arboricity)
     split = classify_outside_neighbors(graph, set(members), heavy_threshold)
-    phase_rounds["classify"] = float(split.rounds)
+    price("classify", float(split.rounds))
     stats["heavy"] = float(len(split.heavy))
     stats["light"] = float(len(split.light))
 
@@ -114,7 +124,7 @@ def process_cluster(
             split.light,
             params.bad_threshold(n),
         )
-    phase_rounds["bad_nodes"] = 1.0  # one broadcast of the bad flag
+    price("bad_nodes", 1.0)  # one broadcast of the bad flag
     stats["bad_nodes"] = float(len(bad.bad_nodes))
     stats["bad_edges"] = float(len(bad.bad_edges))
 
@@ -128,18 +138,17 @@ def process_cluster(
         bad.bad_nodes,
         split.cluster_degree,
         include_light=not k4_mode,
-        plane=params.execution.plane,
+        plane=execution.plane,
     )
-    phase_rounds["gather_heavy"] = gather.heavy_push_rounds
-    phase_rounds["gather_light"] = gather.light_pull_rounds
+    price("gather_heavy", gather.heavy_push_rounds)
+    price("gather_light", gather.light_pull_rounds)
     stats.update(gather.stats)
 
     # -- Phase 4: new IDs (Lemma 2.5, polylog rounds) and reshuffle.
-    phase_rounds["new_ids"] = math.log2(max(2, n))
+    price("new_ids", math.log2(max(2, n)))
     # The fault seam rides the cluster router: one injector per cluster
     # (clusters route in parallel over disjoint edges, so each gets its
     # own deterministic fault stream).
-    execution = params.execution
     faults_active = execution.faults is not None and execution.faults.active
     router = ClusterRouter(
         members,
@@ -160,7 +169,7 @@ def process_cluster(
         "reshuffle",
         plane=execution.plane,
     )
-    phase_rounds["reshuffle"] = reshuffle.rounds
+    phase_costs["reshuffle"] = (reshuffle.rounds, reshuffle.makespan)
     stats.update(reshuffle.stats)
 
     # -- Phase 5: sparsity-aware listing.
@@ -175,15 +184,15 @@ def process_cluster(
         rng,
         "sparsity",
     )
-    phase_rounds["partition"] = outcome.partition_rounds
-    phase_rounds["learn_edges"] = outcome.learning_rounds
+    price("partition", outcome.partition_rounds)
+    price("learn_edges", outcome.learning_rounds)
     stats.update({f"sparsity_{k}": v for k, v in outcome.stats.items()})
 
     # Healing overhead inside this cluster (retries, stragglers).  Only
     # reported with an active seam so the fault-free phase set — and
     # hence ARB-LIST's charged rows — stays exactly as before.
     if faults_active:
-        phase_rounds["fault_recovery"] = local_ledger.recovery_rounds
+        price("fault_recovery", local_ledger.recovery_rounds)
         stats["fault_retries"] = float(
             sum(1 for ph in local_ledger.phases() if ph.recovery)
         )
@@ -193,7 +202,7 @@ def process_cluster(
         rows=outcome.rows,
         bad_edges=bad.bad_edges,
         goal_edges=bad.goal_edges,
-        phase_rounds=phase_rounds,
+        phase_costs=phase_costs,
         light=split.light,
         members=tuple(members),
         stats=stats,

@@ -2,7 +2,7 @@
 
 Every entry point used to grow its own copy of the cross-cutting run
 knobs — the routing plane, its worker/host fan-out, the fault seam, the
-cost model, result materialization — re-declared with drifting defaults
+cost model — re-declared with drifting defaults
 in ``AlgorithmParameters``, the CLI subcommands, the sweep runner and
 the serve service.  :class:`ExecutionConfig` owns that surface in one
 place:
@@ -19,8 +19,6 @@ place:
 - ``topology`` — the overlay network charges are additionally priced on
   (:mod:`repro.congest.topology`); accepts a :class:`Topology`, a spec
   string like ``"grid:8@bw=0.5"``, or ``None`` for the uniform clique.
-- ``materialize`` — whether verification/clique sets are materialized as
-  frozensets (sweep / stream / serve knob).
 
 :class:`~repro.core.params.AlgorithmParameters` composes one of these as
 its only execution surface — spell a run as
@@ -65,10 +63,6 @@ class ExecutionConfig:
         Optional :class:`~repro.faults.model.FaultModel` attached to the
         run's routers; ``None`` keeps every code path byte-identical to
         the fault-free simulators.
-    materialize:
-        Whether listing results materialize frozenset clique sets
-        (sweep / stream / serve consume this; the listing drivers are
-        lazy either way).
     cost_model:
         Round-charge slack for the routing theorems.
     topology:
@@ -82,7 +76,6 @@ class ExecutionConfig:
     workers: int = 1
     hosts: Tuple[str, ...] = ()
     faults: Optional[FaultModel] = None
-    materialize: bool = False
     cost_model: CostModel = field(default_factory=lambda: DEFAULT_COST_MODEL)
     topology: Optional[Union[Topology, str]] = None
 
@@ -127,7 +120,6 @@ class ExecutionConfig:
                 f"topology must be a Topology, a spec string, or None; "
                 f"got {type(self.topology).__name__}"
             )
-        object.__setattr__(self, "materialize", bool(self.materialize))
 
     # ------------------------------------------------------------------
     def resolve_executor(self):

@@ -149,7 +149,7 @@ def list_cliques_congested_clique(
     rng = np.random.default_rng(params.seed if seed is None else seed)
 
     n = graph.num_nodes
-    result = ListingResult(p=p, model="congested-clique", cliques=set())
+    result = ListingResult(p=p, model="congested-clique")
     ledger = result.ledger
     if n == 0 or p > n:
         return result
@@ -400,11 +400,20 @@ def _route_and_list_object(
             result, precomputed_table, np.asarray(part_of, dtype=np.int64), s
         )
         return
+    # One (node, members) pair per listed clique; the rows stay in pair
+    # order (never canonicalized), so row i remains node owners[i]'s.
+    owners: List[int] = []
+    rows: List[List[int]] = []
     for node, payloads in delivered.items():
         if not payloads:
             continue
         learned = Graph(graph.num_nodes, payloads)
         for clique in enumerate_cliques(learned, p, backend="python"):
-            multiset = [part_of[u] for u in sorted(clique)]
-            if responsible_new_id(multiset, s, p) - 1 == node:
-                result.attribute(node, clique)
+            members = sorted(clique)
+            if responsible_new_id([part_of[u] for u in members], s, p) - 1 == node:
+                owners.append(node)
+                rows.append(members)
+    result.attribute_table(
+        np.asarray(owners, dtype=np.int64),
+        np.asarray(rows, dtype=np.int64).reshape(-1, p),
+    )

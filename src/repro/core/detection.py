@@ -93,7 +93,7 @@ def detect_clique(
             witness = node
             break
     return DetectionResult(
-        found=bool(listing.cliques),
+        found=listing.num_cliques > 0,
         witness_node=witness,
         rounds=listing.rounds,
         listing=listing,
@@ -120,7 +120,7 @@ def count_cliques_distributed(
     listing.ledger.charge("counting_convergecast", convergecast)
     per_node = {node: len(cliques) for node, cliques in listing.per_node.items()}
     total = sum(per_node.values())
-    if total != len(listing.cliques):
+    if total != listing.num_cliques:
         # Overlapping attribution (possible when the K4 variant's light
         # nodes duplicate a cluster listing): de-duplicate by charging
         # each clique to its minimum attributed node.
@@ -132,7 +132,7 @@ def count_cliques_distributed(
         for clique, node in owner.items():
             per_node[node] = per_node.get(node, 0) + 1
         total = sum(per_node.values())
-    assert total == len(listing.cliques)
+    assert total == listing.num_cliques
     return CountingResult(
         count=total,
         per_node_counts=per_node,

@@ -16,11 +16,12 @@ every K4 = {u, w, v, v'} with u, w ∈ C and lists those it observes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
 from repro.congest.ledger import RoundLedger
+from repro.congest.topology import Topology, makespan_for_rounds
 from repro.core.result import Attribution
 from repro.graphs.graph import Graph
 
@@ -84,6 +85,7 @@ def sequential_light_phase(
     clusters: List[Tuple[FrozenSet[int], FrozenSet[int]]],
     ledger: RoundLedger,
     phase: str,
+    topology: Optional[Topology] = None,
 ) -> Attribution:
     """Run the light-node listing cluster by cluster (sequentially).
 
@@ -98,9 +100,11 @@ def sequential_light_phase(
         for cluster_nodes, light in clusters
     ]
     listed = Attribution.joined(outcomes, 4)
+    rounds = sum((outcome.rounds for outcome in outcomes), 0.0)
     ledger.charge(
         phase,
-        sum((outcome.rounds for outcome in outcomes), 0.0),
+        rounds,
+        makespan=makespan_for_rounds(topology, rounds),
         clusters=len(clusters),
         cliques_found=len(listed.owners),
     )

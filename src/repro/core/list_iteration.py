@@ -22,6 +22,7 @@ from typing import Dict, List, Set
 import numpy as np
 
 from repro.congest.ledger import RoundLedger
+from repro.congest.topology import makespan_for_rounds
 from repro.core.arb_list import ArbListState, arb_list
 from repro.core.params import AlgorithmParameters
 from repro.core.result import Attribution
@@ -130,7 +131,12 @@ def _fallback_broadcast(
     """
     current = state.current_graph()
     rounds = 2.0 * max(1, state.orientation.max_out_degree)
-    ledger.charge(phase, rounds, er_edges=len(state.er_edges))
+    ledger.charge(
+        phase,
+        rounds,
+        makespan=makespan_for_rounds(params.execution.topology, rounds),
+        er_edges=len(state.er_edges),
+    )
     table = clique_table(current, params.p, backend="auto").rows
     rows = table[rows_touching_edges(table, state.er_edges, state.n)]
     # All Êr obligations fulfilled; those edges retire from the graph.

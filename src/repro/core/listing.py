@@ -79,7 +79,7 @@ def list_cliques_congest(
     rng = np.random.default_rng(params.seed if seed is None else seed)
 
     n = graph.num_nodes
-    result = ListingResult(p=p, model="congest", cliques=set())
+    result = ListingResult(p=p, model="congest")
     ledger = result.ledger
     if n == 0 or p > n or graph.num_edges == 0:
         return result

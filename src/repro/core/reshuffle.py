@@ -43,8 +43,9 @@ class ReshuffleResult:
         edge's src lies in the owner's original-ID range.
     owner_of:
         original node ID -> owning member (total function on [n]).
-    rounds:
-        Theorem 2.4 charge for the routing step.
+    rounds / makespan:
+        Theorem 2.4 charge for the routing step, and its topology-aware
+        completion time as the router priced it.
     stats:
         Measured loads.
     """
@@ -52,6 +53,7 @@ class ReshuffleResult:
     owned: Dict[int, OwnedEdges]
     owner_of: Dict[int, int]
     rounds: float
+    makespan: float
     stats: Dict[str, float] = field(default_factory=dict)
 
 
@@ -135,6 +137,7 @@ def reshuffle_edges(
         owned=owned,
         owner_of=owner_of,
         rounds=ledger.phases()[mark].rounds,
+        makespan=ledger.phases()[mark].effective_makespan,
         stats={
             "max_owned_edges": float(max_owned),
             "total_owned_edges": float(sum(len(s) for s in owned.values())),
@@ -217,6 +220,7 @@ def _reshuffle_batch(
         owned=owned,
         owner_of=owner_of,
         rounds=ledger.phases()[mark].rounds,
+        makespan=ledger.phases()[mark].effective_makespan,
         stats={
             "max_owned_edges": float(max_owned),
             "total_owned_edges": float(total_owned),

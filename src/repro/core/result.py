@@ -1,23 +1,24 @@
 """Result object shared by every listing algorithm in the library.
 
-Historically a plain ``set[frozenset]`` container; now a *columnar-first*
-result: the fast listing planes attribute whole clique tables at once
-(:meth:`ListingResult.attribute_table`), and the python ``cliques`` /
-``per_node`` views are materialized lazily, only when something actually
-reads them.  The verification and stream/serve paths consume the
-canonical :meth:`table` instead, so a full run → verify → report cycle
-never builds a frozenset unless the caller asks.
+A listing result is stored in one representation only: a list of
+columnar :class:`Attribution` parts, each an ``(owners, rows)`` pair in
+which row ``i`` is a clique (members ascending) that node ``owners[i]``
+output.  Every driver and baseline records its output with
+:meth:`ListingResult.attribute_table`.  Verification, counting and the
+stream/serve paths read the canonical :meth:`ListingResult.table`; the
+python ``cliques`` / ``per_node`` views are built from the parts only
+when something reads them, and cached until the next attribution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
 from repro.congest.ledger import RoundLedger
-from repro.graphs.table import CliqueTable, frozenset_rows, materialize_rows
+from repro.graphs.table import CliqueTable, materialize_rows, rows_from_cliques
 
 Clique = FrozenSet[int]
 
@@ -32,8 +33,8 @@ class Attribution:
     outcome layers extends it.  Layers merge by concatenation, so a
     clique one node lists in two ARB-LIST iterations appears twice —
     :class:`ListingResult` dedupes when it builds its views.  The
-    ``listed`` / ``cliques`` views serve tests and reports, never the
-    driver path.
+    ``listed`` / ``cliques`` views serve those views, tests and reports,
+    never the driver path.
     """
 
     owners: np.ndarray
@@ -73,22 +74,24 @@ class ListingResult:
     cliques:
         Union of all per-node outputs — must equal the ground-truth Kp
         set of the input graph (``analysis.verification`` checks this).
-        Materialized lazily from any pending columnar chunks.
+        A view built from the attributed parts on first read.
     per_node:
         Which node output which cliques.  The listing problem only
         requires the union to be complete; per-node attribution follows
         the algorithm's assignment (the cluster node owning the clique's
-        part tuple, the light node that queried it, ...).  Lazy like
+        part tuple, the light node that queried it, ...).  A view like
         ``cliques``.
     ledger:
         Round accounting with one entry per algorithm phase.
     stats:
         Free-form run metadata (iterations, cluster counts, ...).
+
+    ``cliques=`` seeds the result with a clique collection, each clique
+    attributed to its minimum member (tests build corrupt results so).
     """
 
     __slots__ = (
-        "p", "model", "ledger", "stats",
-        "_eager", "_eager_per_node", "_chunks", "_table",
+        "p", "model", "ledger", "stats", "_parts", "_table", "_cliques", "_per_node",
     )
 
     def __init__(
@@ -96,7 +99,6 @@ class ListingResult:
         p: int,
         model: str,
         cliques: Optional[Iterable[Clique]] = None,
-        per_node: Optional[Dict[int, Set[Clique]]] = None,
         ledger: Optional[RoundLedger] = None,
         stats: Optional[Dict[str, float]] = None,
     ) -> None:
@@ -104,14 +106,13 @@ class ListingResult:
         self.model = model
         self.ledger = ledger if ledger is not None else RoundLedger()
         self.stats: Dict[str, float] = stats if stats is not None else {}
-        self._eager: Set[Clique] = set(cliques) if cliques else set()
-        self._eager_per_node: Dict[int, Set[Clique]] = (
-            per_node if per_node is not None else {}
-        )
-        #: Columnar attributions not yet materialized: (owners, rows)
-        #: integer-array pairs, each row a clique owned by its owner.
-        self._chunks: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._parts: List[Attribution] = []
         self._table: Optional[CliqueTable] = None
+        self._cliques: Optional[Set[Clique]] = None
+        self._per_node: Optional[Dict[int, Set[Clique]]] = None
+        if cliques:
+            rows = rows_from_cliques(cliques, p)
+            self.attribute_table(rows[:, 0], rows)
 
     @property
     def rounds(self) -> float:
@@ -124,9 +125,6 @@ class ListingResult:
         default clique topology — see ``repro.congest.topology``)."""
         return self.ledger.total_makespan
 
-    # ------------------------------------------------------------------
-    # Columnar fast path
-    # ------------------------------------------------------------------
     def attribute_table(self, owners: np.ndarray, rows: np.ndarray) -> None:
         """Record a whole ``(count, p)`` clique table at once: row ``i``
         was output by node ``owners[i]``.  No python objects are built
@@ -139,84 +137,47 @@ class ListingResult:
                 f"expected (count, {self.p}) rows, got shape {rows.shape}"
             )
         owners = np.broadcast_to(np.asarray(owners), (rows.shape[0],))
-        self._chunks.append((owners, rows))
-        self._table = None
+        self._parts.append(Attribution(owners=owners, rows=rows))
+        self._table = self._cliques = self._per_node = None
+
+    def attribute(self, node: int, clique: Clique) -> None:
+        """Record that ``node`` output ``clique`` (a one-row table)."""
+        self.attribute_table(
+            np.asarray([node]), np.asarray([sorted(clique)], dtype=np.int64)
+        )
 
     @property
     def num_cliques(self) -> int:
         """``len(cliques)`` without materializing python objects."""
-        if not self._chunks:
-            return len(self._eager)
         return len(self.table())
 
     def table(self) -> CliqueTable:
         """The union of all outputs as a canonical :class:`CliqueTable`."""
         if self._table is None:
-            if self._eager:
-                # Mixed eager/columnar: union through the set view.
-                self._table = CliqueTable.from_cliques(self.cliques, self.p)
-            elif self._chunks:
-                chunks = [rows for _, rows in self._chunks]
-                rows = chunks[0] if len(chunks) == 1 else np.concatenate(
-                    [np.asarray(c, dtype=np.int64) for c in chunks]
-                )
-                self._table = CliqueTable.from_rows(rows, p=self.p)
-            else:
-                self._table = CliqueTable.empty(self.p)
+            rows = Attribution.joined(self._parts, self.p).rows
+            self._table = CliqueTable.from_rows(rows, p=self.p)
         return self._table
-
-    def cliques_of(self, node: int) -> FrozenSet[Clique]:
-        """The cliques attributed to ``node``, materializing only that
-        node's rows (the serve plane's ``learned`` reads hit this)."""
-        if not self._chunks:
-            return frozenset(self._eager_per_node.get(node, frozenset()))
-        out: Set[Clique] = set(self._eager_per_node.get(node, ()))
-        for owners, rows in self._chunks:
-            mask = owners == node
-            if mask.any():
-                out.update(frozenset_rows(rows[mask]))
-        return frozenset(out)
-
-    # ------------------------------------------------------------------
-    # Python-object views (lazy)
-    # ------------------------------------------------------------------
-    def _flush_chunks(self) -> None:
-        chunks, self._chunks = self._chunks, []
-        for owners, rows in chunks:
-            cliques = frozenset_rows(rows)
-            self._eager.update(cliques)
-            per = self._eager_per_node
-            for node, clique in zip(owners.tolist(), cliques):
-                per.setdefault(node, set()).add(clique)
 
     @property
     def cliques(self) -> Set[Clique]:
-        if self._chunks:
-            self._flush_chunks()
-        return self._eager
+        if self._cliques is None:
+            self._cliques = materialize_rows(self.table().rows)
+        return self._cliques
 
     @property
     def per_node(self) -> Dict[int, Set[Clique]]:
-        if self._chunks:
-            self._flush_chunks()
-        return self._eager_per_node
+        if self._per_node is None:
+            listed = Attribution.joined(self._parts, self.p).listed
+            self._per_node = {
+                node: materialize_rows(rows) for node, rows in listed.items()
+            }
+        return self._per_node
 
-    # ------------------------------------------------------------------
-    # Scalar mutation / merging
-    # ------------------------------------------------------------------
-    def attribute(self, node: int, clique: Clique) -> None:
-        """Record that ``node`` output ``clique``."""
-        self._eager.add(clique)
-        self._eager_per_node.setdefault(node, set()).add(clique)
-        self._table = None
-
-    def merge_output(self, other: "ListingResult") -> None:
-        """Fold another result's outputs (not its ledger) into this one."""
-        self._eager |= other._eager
-        for node, cliques in other._eager_per_node.items():
-            self._eager_per_node.setdefault(node, set()).update(cliques)
-        self._chunks.extend(other._chunks)
-        self._table = None
+    def cliques_of(self, node: int) -> FrozenSet[Clique]:
+        """The cliques attributed to ``node``: a mask over each part's
+        owners, materializing only that node's rows (the serve plane's
+        ``learned`` reads call this once per request)."""
+        return frozenset().union(*(part.cliques_of(node) for part in self._parts))
 
     def __repr__(self) -> str:
         return (

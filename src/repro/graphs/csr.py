@@ -52,12 +52,12 @@ mutable graph and invalidating it on edge mutation.
 from __future__ import annotations
 
 import sys
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.graphs.table import CliqueTable, materialize_rows
+from repro.graphs.table import CliqueTable
 
 Clique = FrozenSet[int]
 
@@ -858,16 +858,6 @@ def _search_forward_sorted(
 # ----------------------------------------------------------------------
 # Public kernels
 # ----------------------------------------------------------------------
-def _materialize(table: np.ndarray) -> Set[Clique]:
-    """Bulk-build the ``set`` of frozensets from a clique table.
-
-    Column-major (via :func:`repro.graphs.table.materialize_rows`): no
-    ``(count, p)`` python list-of-lists intermediate, GC suspended for
-    the container-allocation burst.
-    """
-    return materialize_rows(table)
-
-
 def enumerate_cliques_csr(csr: CSRGraph, p: int) -> FrozenSet[Clique]:
     """All Kp of the snapshot, as frozensets — the CSR backend of
     :func:`repro.graphs.cliques.enumerate_cliques`.

@@ -241,14 +241,6 @@ class CliqueTable:
             self._frozen = cached
         return cached
 
-    def as_sets(self) -> FrozenSet[Clique]:
-        """Alias for :meth:`as_frozenset` (the API-edge name)."""
-        return self.as_frozenset()
-
-    def to_set(self) -> Set[Clique]:
-        """A fresh *mutable* set of the cliques (callers own it)."""
-        return set(self.as_frozenset())
-
     # ------------------------------------------------------------------
     # Vectorized set algebra
     # ------------------------------------------------------------------

@@ -125,15 +125,6 @@ class TestPartitionBound:
 
 
 class TestListingResult:
-    def test_merge_output(self):
-        a = ListingResult(p=3, model="x", cliques=set())
-        a.attribute(0, frozenset({0, 1, 2}))
-        b = ListingResult(p=3, model="x", cliques=set())
-        b.attribute(1, frozenset({1, 2, 3}))
-        a.merge_output(b)
-        assert len(a.cliques) == 2
-        assert 1 in a.per_node
-
     def test_repr(self):
         r = ListingResult(p=4, model="congest", cliques=set())
         assert "p=4" in repr(r)

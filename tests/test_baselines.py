@@ -12,6 +12,7 @@ from repro.baselines.cc_general import general_congested_clique_listing
 from repro.baselines.chang_triangle import chang_style_triangle_listing
 from repro.baselines.eden import eden_k4_listing
 from repro.core.congested_clique_listing import list_cliques_congested_clique
+from repro.core.partition import responsible_new_id
 from repro.graphs.cliques import enumerate_cliques
 from repro.graphs.generators import (
     bounded_arboricity_graph,
@@ -100,6 +101,48 @@ class TestCcGeneral:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             general_congested_clique_listing(complete_graph(5), 2)
+
+
+class TestPerNodeAttribution:
+    """Which node outputs each clique: every baseline's assignment rule."""
+
+    @pytest.fixture(params=["planted", "er30"])
+    def graph(self, request):
+        if request.param == "planted":
+            return request.getfixturevalue("planted")
+        return erdos_renyi(30, 0.5, seed=0)
+
+    def test_each_baseline_follows_its_rule(self, graph):
+        p = 4
+        n = graph.num_nodes
+        truth = enumerate_cliques(graph, p)
+        assert truth
+        # cc_general's contiguous blocks, recomputed as its docstring states.
+        s = max(1, int(math.floor(n ** (1.0 / p))))
+        while (s + 1) ** p <= n:
+            s += 1
+        block = math.ceil(n / s)
+
+        def cc_owner(clique):
+            parts = [min(s - 1, v // block) for v in sorted(clique)]
+            return [responsible_new_id(parts, s, p) - 1]
+
+        def minimum(clique):
+            return [min(clique)]
+
+        rules = [
+            (brute_force_listing(graph, p), minimum),
+            (broadcast_listing(graph, p), minimum),
+            (eden_k4_listing(graph, seed=0), minimum),
+            (neighborhood_broadcast_listing(graph, p), sorted),
+            (general_congested_clique_listing(graph, p), cc_owner),
+        ]
+        for result, owners_of in rules:
+            expected = {}
+            for clique in truth:
+                for node in owners_of(clique):
+                    expected.setdefault(node, set()).add(clique)
+            assert result.per_node == expected, result.model
 
 
 class TestBounds:

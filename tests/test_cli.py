@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import main, make_parser
+from repro.cli import build_graph, main, make_parser
+from repro.graphs.cliques import enumerate_cliques
 from repro.graphs.generators import planted_cliques
 from repro.graphs.io import write_edge_list
 
@@ -40,12 +41,17 @@ class TestListCommand:
         assert main(["list", "--input", str(path), "--p", "4", "--verify"]) == 0
 
     def test_show_cliques(self, capsys):
-        main(["list", "--generator", "planted", "--n", "48", "--p", "4",
-              "--show-cliques"])
+        argv = ["list", "--generator", "planted", "--n", "48", "--p", "4",
+                "--show-cliques"]
+        main(argv)
         out = capsys.readouterr().out
-        # At least one clique line of 4 integers.
+        expected = sorted(sorted(c) for c in enumerate_cliques(
+            build_graph(make_parser().parse_args(argv)), 4
+        ))
+        assert expected
         lines = [l for l in out.splitlines() if l and l[0].isdigit()]
-        assert any(len(l.split()) == 4 for l in lines)
+        assert [[int(v) for v in l.split()] for l in lines] == expected
+        assert f"cliques: {len(expected)}" in out.splitlines()
 
     def test_ledger_flag(self, capsys):
         main(["list", "--generator", "er", "--n", "40", "--p", "3",

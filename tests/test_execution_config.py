@@ -29,9 +29,15 @@ class TestExecutionConfig:
         assert config.workers == 1
         assert config.hosts == ()
         assert config.faults is None
-        assert config.materialize is False
         assert config.cost_model == DEFAULT_COST_MODEL
         assert config.topology is None
+        assert [field.name for field in dataclasses.fields(config)] == [
+            "plane", "workers", "hosts", "faults", "cost_model", "topology",
+        ]
+
+    def test_materialize_option_is_gone(self):
+        with pytest.raises(TypeError):
+            ExecutionConfig(materialize=True)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="plane"):
@@ -58,8 +64,8 @@ class TestExecutionConfig:
         assert ExecutionConfig().topology_spec() is None
 
     def test_with_(self):
-        config = ExecutionConfig().with_(plane="object", materialize=True)
-        assert (config.plane, config.materialize) == ("object", True)
+        config = ExecutionConfig().with_(plane="object", topology="ring")
+        assert (config.plane, config.topology) == ("object", Topology(kind="ring"))
         # frozen: no in-place mutation
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.plane = "batch"
@@ -113,10 +119,9 @@ class TestParamsComposition:
         assert cleared.execution.faults is None
         assert params.execution.faults is not None
         tuned = cleared.with_(
-            execution=cleared.execution.with_(topology="star", materialize=True)
+            execution=cleared.execution.with_(topology="star")
         )
         assert tuned.execution.topology == Topology(kind="star")
-        assert tuned.execution.materialize is True
         # Non-execution fields still replace normally.
         assert tuned.with_(seed=9).seed == 9
         assert tuned.with_(seed=9).execution == tuned.execution
@@ -157,12 +162,18 @@ class TestCliExecutionParent:
         config = self._config(
             [
                 "list", "--n", "16", "--topology", "grid:4@lat=1",
-                "--fault-seed", "5", "--drop-rate", "0.01", "--materialize",
+                "--fault-seed", "5", "--drop-rate", "0.01",
             ]
         )
         assert config.topology == Topology(kind="grid", grid_width=4, latency=1.0)
         assert config.faults == FaultModel(seed=5, drop_rate=0.01)
-        assert config.materialize is True
+
+    def test_materialize_flag_is_gone(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["list", "--n", "16", "--materialize"])
+        assert exc.value.code == 2
 
     def test_stream_and_serve_share_the_parent(self):
         stream = self._config(["stream", "--n", "16", "--workers", "2"])

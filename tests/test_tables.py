@@ -184,13 +184,6 @@ class TestSharing:
     def test_as_frozenset_cached_once(self):
         table = clique_table(er(), 3)
         assert table.as_frozenset() is table.as_frozenset()
-        assert table.as_sets() is table.as_frozenset()
-
-    def test_to_set_is_fresh_and_mutable(self):
-        table = clique_table(er(), 3)
-        owned = table.to_set()
-        owned.clear()
-        assert len(table.as_frozenset()) == len(table)
 
     def test_disjoint_difference_returns_self(self):
         a = clique_table(er(seed=3), 3)

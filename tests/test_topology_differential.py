@@ -180,6 +180,19 @@ class TestOverlaysPreserveResultsAndRounds:
         assert slow.rounds == base.rounds
         assert slow.makespan > base.makespan
 
+    @pytest.mark.parametrize("variant,p", [("generic", 3), ("k4", 4)])
+    def test_congest_makespan_prices_every_phase(self, variant, p):
+        # Half bandwidth on the clique doubles every phase's completion
+        # time, the per-cluster ARB-LIST phases included.
+        g = create_workload("caveman").instance(40, seed=1)
+        params = AlgorithmParameters(
+            p=p, variant=variant, stop_scale=0.01, max_list_iterations=2,
+            execution=ExecutionConfig(topology="clique@bw=0.5"),
+        )
+        result = list_cliques_congest(g, p, params=params, seed=1)
+        assert any("reshuffle" in ph.name for ph in result.ledger.phases())
+        assert result.makespan == pytest.approx(2 * result.rounds)
+
     def test_faults_and_overlays_compose(self):
         from repro.faults import FaultModel
 

@@ -17,19 +17,13 @@ from repro.core.arb_list import ArbListState, arb_list
 from repro.core.bad_edges import bad_edge_fraction_bound
 from repro.core.params import AlgorithmParameters
 from repro.graphs.generators import erdos_renyi
-from repro.graphs.orientation import Orientation, degeneracy_orientation
+from repro.graphs.orientation import degeneracy_orientation
 
 
 def fresh_state(graph, threshold):
     orientation = degeneracy_orientation(graph)
-    return ArbListState(
-        n=graph.num_nodes,
-        es_edges=set(),
-        es_orientation=Orientation(graph.num_nodes),
-        er_edges=graph.edge_set(),
-        orientation=orientation,
-        arboricity=max(1, orientation.max_out_degree),
-        threshold=threshold,
+    return ArbListState.start(
+        graph, orientation, max(1, orientation.max_out_degree), threshold
     )
 
 
@@ -41,11 +35,11 @@ def test_er_contraction_per_invocation(benchmark):
     def run():
         state = fresh_state(g, threshold=7)
         for _ in range(4):
-            if not state.er_edges:
+            if not state.er_keys.size:
                 break
-            before = len(state.er_edges)
+            before = state.er_keys.size
             arb_list(state, params, np.random.default_rng(0), RoundLedger())
-            trace.append((before, len(state.er_edges)))
+            trace.append((before, state.er_keys.size))
         return trace
 
     benchmark.pedantic(run, iterations=1, rounds=1)
@@ -64,11 +58,11 @@ def test_bad_edge_fraction_at_paper_threshold(benchmark):
         return outcome
 
     outcome = benchmark.pedantic(run, iterations=1, rounds=1)
-    cluster_edges = len(outcome.goal_edges) + len(outcome.bad_edges)
-    fraction = len(outcome.bad_edges) / max(1, cluster_edges)
+    cluster_edges = outcome.goal_keys.size + outcome.bad_keys.size
+    fraction = outcome.bad_keys.size / max(1, cluster_edges)
     benchmark.extra_info.update(
         {
-            "bad_edges": len(outcome.bad_edges),
+            "bad_edges": outcome.bad_keys.size,
             "cluster_edges": cluster_edges,
             "fraction": round(fraction, 4),
             "paper_bound": round(bad_edge_fraction_bound(), 4),
@@ -89,5 +83,5 @@ def test_bad_edges_forced_are_deferred_not_lost(benchmark):
         return state, outcome
 
     state, outcome = benchmark.pedantic(run, iterations=1, rounds=1)
-    benchmark.extra_info["forced_bad_edges"] = len(outcome.bad_edges)
-    assert outcome.bad_edges <= state.er_edges
+    benchmark.extra_info["forced_bad_edges"] = outcome.bad_keys.size
+    assert np.isin(outcome.bad_keys, state.er_keys).all()

@@ -33,7 +33,7 @@ from repro.graphs.generators import (
     erdos_renyi,
     gnm_random_graph,
 )
-from repro.graphs.orientation import Orientation, degeneracy_orientation
+from repro.graphs.orientation import degeneracy_orientation
 
 
 def experiment_e1_e2(sizes: List[int]) -> List[ExperimentTable]:
@@ -199,27 +199,21 @@ def experiment_e6() -> ExperimentTable:
     )
     g = clustered_graph(6, 22, intra_p=0.75, inter_edges_per_pair=6, seed=5)
     orientation = degeneracy_orientation(g)
-    state = ArbListState(
-        n=g.num_nodes,
-        es_edges=set(),
-        es_orientation=Orientation(g.num_nodes),
-        er_edges=g.edge_set(),
-        orientation=orientation,
-        arboricity=max(1, orientation.max_out_degree),
-        threshold=8,
+    state = ArbListState.start(
+        g, orientation, max(1, orientation.max_out_degree), threshold=8
     )
     params = AlgorithmParameters(p=4, phi=0.08)
     iteration = 0
-    while state.er_edges and iteration < 6:
-        before = len(state.er_edges)
+    while state.er_keys.size and iteration < 6:
+        before = state.er_keys.size
         outcome = arb_list(state, params, np.random.default_rng(0), RoundLedger())
         table.add(
             iteration=iteration,
             er_before=before,
-            er_after=len(state.er_edges),
-            ratio=round(len(state.er_edges) / before, 3),
-            bad_edges=len(outcome.bad_edges),
-            goal_edges=len(outcome.goal_edges),
+            er_after=state.er_keys.size,
+            ratio=round(state.er_keys.size / before, 3),
+            bad_edges=outcome.bad_keys.size,
+            goal_edges=outcome.goal_keys.size,
         )
         iteration += 1
     table.notes.append("ratio column must stay ≤ 0.25 (Theorem 2.9).")

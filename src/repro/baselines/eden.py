@@ -31,6 +31,8 @@ from repro.core.params import AlgorithmParameters
 from repro.core.result import ListingResult
 from repro.decomposition.expander import expander_decomposition
 from repro.graphs.cliques import clique_table, rows_touching_edges
+from repro.graphs.csr import CSRGraph
+from repro.graphs.edge_keys import key_union
 from repro.graphs.graph import Graph
 from repro.graphs.orientation import degeneracy_orientation
 
@@ -107,13 +109,13 @@ def eden_k4_listing(
 
         # Every K4 with an edge in Em is listed at this level, by its
         # minimum member (column 0: rows ascend).
-        here = remaining & rows_touching_edges(truth, decomposition.em_edges, n)
+        here = remaining & rows_touching_edges(truth, decomposition.em_keys, n)
         result.attribute_table(truth[here, 0], truth[here])
         remaining &= ~here
-        next_edges = decomposition.es_edges | decomposition.er_edges
-        if len(next_edges) >= current.num_edges:
+        next_keys = key_union(decomposition.es_keys, decomposition.er_keys)
+        if next_keys.size >= current.num_edges:
             break
-        current = Graph(n, next_edges)
+        current = CSRGraph.from_edge_keys(next_keys, n).to_graph()
         level += 1
 
     # Remnant: broadcast out-edges (sparse by now).

@@ -20,7 +20,7 @@ current graph with an edge in Êm appears in the output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -31,23 +31,29 @@ from repro.core.k4 import sequential_light_phase
 from repro.core.params import AlgorithmParameters, K4_VARIANT
 from repro.core.result import Attribution
 from repro.decomposition.expander import DecompositionParams, expander_decomposition
-from repro.graphs.graph import Edge, Graph
+from repro.graphs.csr import CSRGraph
+from repro.graphs.edge_keys import EMPTY, key_union, merge_arcs, restrict_arcs
+from repro.graphs.graph import Graph
 from repro.graphs.orientation import Orientation
 
 
-@dataclass
+@dataclass(eq=False)
 class ArbListState:
     """The evolving edge partition threaded through ARB-LIST iterations.
+
+    Every edge set is a sorted key array (:mod:`repro.graphs.edge_keys`):
+    edges as ``u·n + v`` (u < v), orientations as their arcs
+    ``src·n + dst``.
 
     Attributes
     ----------
     n:
         Node count (constant).
-    es_edges / es_orientation:
+    es_keys / es_arcs:
         The accumulated Ês with its arboricity witness.
-    er_edges:
+    er_keys:
         The remaining Êr (the next invocation decomposes exactly this).
-    orientation:
+    arcs:
         Global witness orientation of *all* current edges (Ês ∪ Êr),
         max out-degree ≤ ``arboricity``.
     arboricity:
@@ -57,27 +63,48 @@ class ArbListState:
     """
 
     n: int
-    es_edges: Set[Edge]
-    es_orientation: Orientation
-    er_edges: Set[Edge]
-    orientation: Orientation
+    es_keys: np.ndarray
+    es_arcs: np.ndarray
+    er_keys: np.ndarray
+    arcs: np.ndarray
     arboricity: int
     threshold: int
 
-    def current_edges(self) -> Set[Edge]:
-        return self.es_edges | self.er_edges
+    @classmethod
+    def start(
+        cls, graph: Graph, orientation: Orientation, arboricity: int, threshold: int
+    ) -> "ArbListState":
+        """The state a LIST call starts from: (Ês, Êr) = (∅, E).
 
-    def current_graph(self) -> Graph:
-        return Graph(self.n, self.current_edges())
+        ``graph`` is a :class:`Graph` or a CSR snapshot, ``orientation``
+        a witness of its edges.
+        """
+        return cls(
+            n=graph.num_nodes,
+            es_keys=EMPTY,
+            es_arcs=EMPTY,
+            er_keys=graph.to_csr().edge_keys(),
+            arcs=orientation.encoded_oriented(),
+            arboricity=arboricity,
+            threshold=threshold,
+        )
+
+    def current_keys(self) -> np.ndarray:
+        return key_union(self.es_keys, self.er_keys)
+
+    def current_graph(self) -> CSRGraph:
+        """CSR snapshot of the current graph (Ês ∪ Êr)."""
+        return CSRGraph.from_edge_keys(self.current_keys(), self.n)
 
 
 @dataclass
 class ArbListOutcome(Attribution):
     """Result of one ARB-LIST invocation: every cluster's listing, then
-    the K4 variant's light-node listing, concatenated."""
+    the K4 variant's light-node listing, concatenated.  ``goal_keys`` /
+    ``bad_keys`` are sorted edge keys."""
 
-    goal_edges: Set[Edge]
-    bad_edges: Set[Edge]
+    goal_keys: np.ndarray
+    bad_keys: np.ndarray
     num_clusters: int
     stats: Dict[str, float] = field(default_factory=dict)
 
@@ -91,15 +118,14 @@ def arb_list(
 ) -> ArbListOutcome:
     """Run one ARB-LIST invocation, mutating ``state`` for the next one.
 
-    After the call, ``state.er_edges`` is the new Êr, ``state.es_edges`` /
-    ``state.es_orientation`` include the new E's, the listed goal edges
-    Êm are removed from the graph, and ``state.orientation`` is restricted
-    to the surviving edges.
+    After the call, ``state.er_keys`` is the new Êr, ``state.es_keys`` /
+    ``state.es_arcs`` include the new E's, the listed goal edges Êm are
+    removed from the graph, and ``state.arcs`` is restricted to the
+    surviving edges.
     """
     n = state.n
-    er_graph = Graph(n, state.er_edges)
     decomposition = expander_decomposition(
-        er_graph,
+        CSRGraph.from_edge_keys(state.er_keys, n),
         threshold=state.threshold,
         phi=params.phi,
         ledger=ledger,
@@ -113,31 +139,36 @@ def arb_list(
     last.makespan = makespan_for_rounds(topology, last.rounds)
 
     # Fold E's into Ês.
-    state.es_edges |= decomposition.es_edges
-    state.es_orientation = state.es_orientation.merged_with(
-        decomposition.es_orientation
+    state.es_keys = key_union(state.es_keys, decomposition.es_keys)
+    state.es_arcs = merge_arcs(
+        state.es_arcs, decomposition.es_orientation.encoded_oriented(), n
     )
 
     current = state.current_graph()
+    if params.execution.plane == "object":
+        # The object plane reads dict-of-sets adjacency; build it once
+        # for all clusters (it keeps the snapshot as its CSR view).
+        current = current.to_graph()
+    orientation = Orientation(n, state.arcs)
     listed: List[Attribution] = []
-    goal_edges: Set[Edge] = set()
-    bad_edges: Set[Edge] = set()
+    goal_parts: List[np.ndarray] = [EMPTY]
+    bad_parts: List[np.ndarray] = [EMPTY]
     phase_max: Dict[str, Tuple[float, float]] = {}
     stats: Dict[str, float] = {
         "clusters": float(len(decomposition.clusters)),
-        "er_in": float(len(state.er_edges)),
+        "er_in": float(state.er_keys.size),
     }
 
     cluster_outcomes = []
     stat_max: Dict[str, float] = {}
     for cluster in decomposition.clusters:
         outcome = process_cluster(
-            current, state.orientation, cluster, state.arboricity, params, rng
+            current, orientation, cluster, state.arboricity, params, rng
         )
         cluster_outcomes.append((cluster, outcome))
         listed.append(outcome)
-        goal_edges |= outcome.goal_edges
-        bad_edges |= outcome.bad_edges
+        goal_parts.append(outcome.goal_keys)
+        bad_parts.append(outcome.bad_keys)
         for phase, (rounds, makespan) in outcome.phase_costs.items():
             worst = phase_max.get(phase, (0.0, 0.0))
             phase_max[phase] = (max(worst[0], rounds), max(worst[1], makespan))
@@ -192,20 +223,22 @@ def arb_list(
             )
         )
 
+    # Clusters are vertex-disjoint, so their edge keys never collide.
+    goal_keys = np.sort(np.concatenate(goal_parts))
+    bad_keys = np.sort(np.concatenate(bad_parts))
     # New Êr: leftover of the decomposition plus the demoted bad edges.
-    state.er_edges = set(decomposition.er_edges) | bad_edges
+    state.er_keys = key_union(decomposition.er_keys, bad_keys)
     # Êm (the listed goal edges) leaves the graph.
-    surviving = state.es_edges | state.er_edges
-    state.orientation = state.orientation.restricted_to(surviving)
+    state.arcs = restrict_arcs(state.arcs, state.current_keys(), n)
 
-    stats["goal_edges"] = float(len(goal_edges))
-    stats["bad_edges"] = float(len(bad_edges))
-    stats["er_out"] = float(len(state.er_edges))
+    stats["goal_edges"] = float(goal_keys.size)
+    stats["bad_edges"] = float(bad_keys.size)
+    stats["er_out"] = float(state.er_keys.size)
     return ArbListOutcome.joined(
         listed,
         params.p,
-        goal_edges=goal_edges,
-        bad_edges=bad_edges,
+        goal_keys=goal_keys,
+        bad_keys=bad_keys,
         num_clusters=len(decomposition.clusters),
         stats=stats,
     )

@@ -18,10 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Set
 
-from repro.graphs.graph import Edge, Graph, canonical_edge
+import numpy as np
+
+from repro.graphs.edge_keys import key_pairs
+from repro.graphs.graph import Graph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BadEdgeSplit:
     """Outcome of the bad-node analysis for one cluster.
 
@@ -29,24 +32,25 @@ class BadEdgeSplit:
     ----------
     bad_nodes:
         Cluster members with more than ``bad_threshold`` C-light neighbors.
-    bad_edges:
-        Cluster edges joining two bad nodes (demoted to Êr).
-    goal_edges:
-        Cluster edges the iteration *will* list all Kp for.
+    bad_keys:
+        Cluster edges joining two bad nodes (demoted to Êr), as sorted
+        edge keys (:mod:`repro.graphs.edge_keys`).
+    goal_keys:
+        Cluster edges the iteration *will* list all Kp for (sorted keys).
     light_degree:
         u_light per cluster member (how many C-light neighbors it has).
     """
 
     bad_nodes: FrozenSet[int]
-    bad_edges: FrozenSet[Edge]
-    goal_edges: FrozenSet[Edge]
+    bad_keys: np.ndarray
+    goal_keys: np.ndarray
     light_degree: Dict[int, int]
 
 
 def split_bad_edges(
     graph: Graph,
     cluster_nodes: Set[int],
-    cluster_edges: FrozenSet[Edge],
+    cluster_keys: np.ndarray,
     light: FrozenSet[int],
     bad_threshold: int,
 ) -> BadEdgeSplit:
@@ -55,9 +59,10 @@ def split_bad_edges(
     Parameters
     ----------
     graph:
-        Current full graph (for the light-neighbor counts).
-    cluster_nodes / cluster_edges:
-        The cluster's members and its Em edges.
+        Current full graph (for the light-neighbor counts) — a
+        :class:`Graph` or a CSR snapshot.
+    cluster_nodes / cluster_keys:
+        The cluster's members and its Em edges (sorted edge keys).
     light:
         The C-light outside neighbors (from ``heavy_light``).
     bad_threshold:
@@ -65,19 +70,22 @@ def split_bad_edges(
     """
     if bad_threshold < 1:
         raise ValueError(f"bad threshold must be >= 1, got {bad_threshold}")
-    light_degree: Dict[int, int] = {}
-    for u in cluster_nodes:
-        light_degree[u] = sum(1 for v in graph.neighbors(u) if v in light)
-    bad_nodes = frozenset(u for u, d in light_degree.items() if d > bad_threshold)
-    bad_edges = frozenset(
-        e for e in cluster_edges if e[0] in bad_nodes and e[1] in bad_nodes
-    )
-    goal_edges = frozenset(cluster_edges) - bad_edges
+    csr = graph.to_csr()
+    n = csr.num_nodes
+    members = np.asarray(sorted(cluster_nodes), dtype=np.int64)
+    in_light = np.zeros(n, dtype=bool)
+    in_light[np.fromiter(light, dtype=np.int64, count=len(light))] = True
+    owner, nbrs = csr.rows_of(members)
+    light_count = np.bincount(owner[in_light[nbrs]], minlength=members.size)
+    is_bad = np.zeros(n, dtype=bool)
+    is_bad[members[light_count > bad_threshold]] = True
+    pairs = key_pairs(cluster_keys, n)
+    demoted = is_bad[pairs[:, 0]] & is_bad[pairs[:, 1]]
     return BadEdgeSplit(
-        bad_nodes=bad_nodes,
-        bad_edges=bad_edges,
-        goal_edges=goal_edges,
-        light_degree=light_degree,
+        bad_nodes=frozenset(members[light_count > bad_threshold].tolist()),
+        bad_keys=cluster_keys[demoted],
+        goal_keys=cluster_keys[~demoted],
+        light_degree=dict(zip(members.tolist(), light_count.tolist())),
     )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, FrozenSet, Tuple, Union
 
 import numpy as np
 
@@ -34,7 +34,9 @@ from repro.core.reshuffle import reshuffle_edges
 from repro.core.result import Attribution
 from repro.core.sparsity_aware import sparsity_aware_listing
 from repro.decomposition.cluster import Cluster
-from repro.graphs.graph import Edge, Graph
+from repro.graphs.csr import CSRGraph
+from repro.graphs.edge_keys import EMPTY
+from repro.graphs.graph import Graph
 from repro.graphs.orientation import Orientation
 
 
@@ -46,9 +48,10 @@ class ClusterOutcome(Attribution):
     ----------
     owners / rows:
         The cliques the members output, one row per (member, clique).
-    bad_edges:
-        Cluster edges demoted to Êr (empty in the K4 variant).
-    goal_edges:
+    bad_keys:
+        Cluster edges demoted to Êr (empty in the K4 variant), as sorted
+        edge keys (:mod:`repro.graphs.edge_keys`).
+    goal_keys:
         Cluster edges whose Kp obligations this iteration fulfilled.
     phase_costs:
         Phase name -> (rounds, makespan) for this cluster (ARB-LIST
@@ -57,8 +60,8 @@ class ClusterOutcome(Attribution):
         Measured quantities for reports.
     """
 
-    bad_edges: FrozenSet[Edge]
-    goal_edges: FrozenSet[Edge]
+    bad_keys: np.ndarray
+    goal_keys: np.ndarray
     phase_costs: Dict[str, Tuple[float, float]]
     light: FrozenSet[int] = frozenset()
     members: Tuple[int, ...] = ()
@@ -66,7 +69,7 @@ class ClusterOutcome(Attribution):
 
 
 def process_cluster(
-    graph: Graph,
+    graph: Union[CSRGraph, Graph],
     orientation: Orientation,
     cluster: Cluster,
     arboricity: int,
@@ -78,7 +81,9 @@ def process_cluster(
     Parameters
     ----------
     graph:
-        Current full graph G = (V, Es ∪ Er) — adjacency source of truth.
+        Current full graph G = (V, Es ∪ Er) — adjacency source of truth:
+        a CSR snapshot on the batch plane, a dict-of-sets :class:`Graph`
+        on the object plane (ARB-LIST builds it once per call).
     orientation:
         Global arboricity-witness orientation of *all* current edges
         (max out-degree ≤ ``arboricity``).
@@ -112,21 +117,21 @@ def process_cluster(
     if k4_mode:
         bad = BadEdgeSplit(
             bad_nodes=frozenset(),
-            bad_edges=frozenset(),
-            goal_edges=frozenset(cluster.edges),
+            bad_keys=EMPTY,
+            goal_keys=cluster.edge_keys,
             light_degree={},
         )
     else:
         bad = split_bad_edges(
             graph,
             set(members),
-            cluster.edges,
+            cluster.edge_keys,
             split.light,
             params.bad_threshold(n),
         )
     price("bad_nodes", 1.0)  # one broadcast of the bad flag
     stats["bad_nodes"] = float(len(bad.bad_nodes))
-    stats["bad_edges"] = float(len(bad.bad_edges))
+    stats["bad_edges"] = float(bad.bad_keys.size)
 
     # -- Phase 3: gather outside edges into the cluster.
     gather = gather_outside_edges(
@@ -177,7 +182,7 @@ def process_cluster(
         n,
         members,
         reshuffle.owned,
-        bad.goal_edges,
+        bad.goal_keys,
         params,
         router,
         local_ledger,
@@ -200,8 +205,8 @@ def process_cluster(
     return ClusterOutcome(
         owners=outcome.owners,
         rows=outcome.rows,
-        bad_edges=bad.bad_edges,
-        goal_edges=bad.goal_edges,
+        bad_keys=bad.bad_keys,
+        goal_keys=bad.goal_keys,
         phase_costs=phase_costs,
         light=split.light,
         members=tuple(members),

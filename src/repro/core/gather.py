@@ -158,11 +158,15 @@ def _gather_heavy_batch(
     charged ``2·⌈out/links⌉`` words — are identical to the tuple path.
     """
     csr = graph.to_csr()
+    n = csr.num_nodes
+    arcs = orientation.encoded_oriented()
     received: Dict[int, List[np.ndarray]] = {u: [] for u in cluster_nodes}
     worst_chunk_words = 0
     total_edges = 0
     for v in heavy:
-        out = np.sort(np.fromiter(orientation.out_neighbors(v), dtype=np.int64, count=-1))
+        # v's out-arcs are one run of the sorted arc keys, targets ascending.
+        lo, hi = np.searchsorted(arcs, [v * n, (v + 1) * n])
+        out = arcs[lo:hi] - v * n
         if out.size == 0:
             continue
         nbrs = csr.neighbors(v)

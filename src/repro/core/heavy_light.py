@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Set
 
+import numpy as np
+
 from repro.graphs.graph import Graph
 
 
@@ -48,7 +50,8 @@ def classify_outside_neighbors(
     ----------
     graph:
         The *current* full graph (adjacency defines who is a neighbor of
-        the cluster).
+        the cluster) — a :class:`Graph` or a CSR snapshot; the counts
+        come from its CSR rows in one pass.
     cluster_nodes:
         Member set of the cluster C.
     heavy_threshold:
@@ -57,13 +60,17 @@ def classify_outside_neighbors(
     """
     if heavy_threshold < 1:
         raise ValueError(f"heavy threshold must be >= 1, got {heavy_threshold}")
-    cluster_degree: Dict[int, int] = {}
-    for u in cluster_nodes:
-        for v in graph.neighbors(u):
-            if v not in cluster_nodes:
-                cluster_degree[v] = cluster_degree.get(v, 0) + 1
-    heavy = frozenset(v for v, g in cluster_degree.items() if g > heavy_threshold)
-    light = frozenset(cluster_degree) - heavy
+    csr = graph.to_csr()
+    members = np.fromiter(cluster_nodes, dtype=np.int64, count=len(cluster_nodes))
+    in_cluster = np.zeros(csr.num_nodes, dtype=bool)
+    in_cluster[members] = True
+    _owner, nbrs = csr.rows_of(members)
+    counts = np.bincount(nbrs[~in_cluster[nbrs]], minlength=csr.num_nodes)
+    outside = np.flatnonzero(counts)
+    g = counts[outside]
+    heavy = outside[g > heavy_threshold]
     return HeavyLightSplit(
-        heavy=heavy, light=frozenset(light), cluster_degree=cluster_degree
+        heavy=frozenset(heavy.tolist()),
+        light=frozenset(outside[g <= heavy_threshold].tolist()),
+        cluster_degree=dict(zip(outside.tolist(), g.tolist())),
     )

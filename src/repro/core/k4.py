@@ -49,33 +49,44 @@ def light_node_k4_listing(
     answers about both).
 
     Rounds = 2 · max over C-light v of g_{v,C} (announcements plus the
-    answer bits, every edge of v working in parallel).
+    answer bits, every edge of v working in parallel).  ``graph`` is a
+    :class:`Graph` or a CSR snapshot; the adjacency tests are sorted-row
+    intersections.
     """
-    owners: List[int] = []
-    rows: List[List[int]] = []
+    csr = graph.to_csr()
+    in_cluster = np.zeros(csr.num_nodes, dtype=bool)
+    in_cluster[list(cluster_nodes)] = True
+    owners: List[np.ndarray] = []
+    rows: List[np.ndarray] = []
     worst_g = 0
     for v in sorted(light):
-        cluster_neighbors = sorted(u for u in graph.neighbors(v) if u in cluster_nodes)
-        worst_g = max(worst_g, len(cluster_neighbors))
-        if len(cluster_neighbors) < 2:
+        nbrs = csr.neighbors(v)
+        cluster_neighbors = nbrs[in_cluster[nbrs]]
+        worst_g = max(worst_g, int(cluster_neighbors.size))
+        if cluster_neighbors.size < 2:
             continue
-        outside_neighbors = [
-            x for x in graph.neighbors(v) if x not in cluster_nodes and x != v
-        ]
-        for i, u in enumerate(cluster_neighbors):
-            u_adjacency = graph.neighbors(u)
-            for w in cluster_neighbors[i + 1 :]:
-                if w not in u_adjacency:
-                    continue
-                for v_prime in outside_neighbors:
-                    if v_prime in u_adjacency and graph.has_edge(w, v_prime):
-                        row = sorted({u, w, v, v_prime})
-                        if len(row) == 4:
-                            owners.append(v)
-                            rows.append(row)
+        outside_neighbors = nbrs[~in_cluster[nbrs]]
+        for i, u in enumerate(cluster_neighbors.tolist()):
+            u_adjacency = csr.neighbors(u)
+            ws = np.intersect1d(
+                cluster_neighbors[i + 1 :], u_adjacency, assume_unique=True
+            )
+            if not ws.size:
+                continue
+            v_primes = np.intersect1d(
+                outside_neighbors, u_adjacency, assume_unique=True
+            )
+            for w in ws.tolist():
+                closing = np.intersect1d(v_primes, csr.neighbors(w), assume_unique=True)
+                if closing.size:
+                    block = np.empty((closing.size, 4), dtype=np.int64)
+                    block[:, :3] = (u, w, v)
+                    block[:, 3] = closing
+                    owners.append(np.full(closing.size, v, dtype=np.int64))
+                    rows.append(np.sort(block, axis=1))
     return LightListingOutcome(
-        owners=np.asarray(owners, dtype=np.int64),
-        rows=np.asarray(rows, dtype=np.int64).reshape(-1, 4),
+        owners=np.concatenate(owners) if owners else np.empty(0, dtype=np.int64),
+        rows=np.concatenate(rows) if rows else np.empty((0, 4), dtype=np.int64),
         rounds=2.0 * worst_g,
     )
 

@@ -17,7 +17,7 @@ CONGEST cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List
 
 import numpy as np
 
@@ -27,7 +27,8 @@ from repro.core.arb_list import ArbListState, arb_list
 from repro.core.params import AlgorithmParameters
 from repro.core.result import Attribution
 from repro.graphs.cliques import clique_table, rows_touching_edges
-from repro.graphs.graph import Edge, Graph
+from repro.graphs.edge_keys import EMPTY, max_out_degree, restrict_arcs
+from repro.graphs.graph import Graph
 from repro.graphs.orientation import Orientation
 
 
@@ -35,12 +36,13 @@ from repro.graphs.orientation import Orientation
 class ListOutcome(Attribution):
     """Result of one LIST call (Theorem 2.8).
 
-    ``es_edges`` / ``es_orientation`` are the Ẽs the caller recurses on;
-    every Kp of the input graph with an edge outside Ẽs is a row of
-    ``rows``, attributed to ``owners``.
+    ``es_keys`` (sorted edge keys) / ``es_orientation`` (backed by its
+    arc keys) are the Ẽs the caller recurses on; every Kp of the input
+    graph with an edge outside Ẽs is a row of ``rows``, attributed to
+    ``owners``.
     """
 
-    es_edges: Set[Edge]
+    es_keys: np.ndarray
     es_orientation: Orientation
     iterations: int
     stats: Dict[str, float] = field(default_factory=dict)
@@ -60,7 +62,7 @@ def list_once(
     Parameters
     ----------
     graph:
-        Current graph G = (V, E).
+        Current graph G = (V, E) (a :class:`Graph` or a CSR snapshot).
     orientation:
         Witness orientation of E with max out-degree ≤ ``arboricity``.
     arboricity:
@@ -68,33 +70,25 @@ def list_once(
     """
     n = graph.num_nodes
     threshold = params.peel_threshold(n, arboricity)
-    state = ArbListState(
-        n=n,
-        es_edges=set(),
-        es_orientation=Orientation(n),
-        er_edges=graph.edge_set(),
-        orientation=orientation,
-        arboricity=arboricity,
-        threshold=threshold,
-    )
+    state = ArbListState.start(graph, orientation, arboricity, threshold)
     listed: List[Attribution] = []
     budget = params.arb_iteration_budget(n)
     iterations = 0
-    er_trace = [len(state.er_edges)]
+    er_trace = [state.er_keys.size]
 
-    while state.er_edges and iterations < budget:
-        er_before = len(state.er_edges)
+    while state.er_keys.size and iterations < budget:
+        er_before = state.er_keys.size
         outcome = arb_list(
             state, params, rng, ledger, phase_prefix=f"{phase_prefix}/arb[{iterations}]"
         )
         listed.append(outcome)
         iterations += 1
-        er_trace.append(len(state.er_edges))
-        progressed = len(state.er_edges) < er_before or outcome.goal_edges
+        er_trace.append(state.er_keys.size)
+        progressed = state.er_keys.size < er_before or outcome.goal_keys.size
         if not progressed:
             break
 
-    if state.er_edges:
+    if state.er_keys.size:
         listed.append(
             _fallback_broadcast(state, params, ledger, f"{phase_prefix}/fallback")
         )
@@ -102,15 +96,15 @@ def list_once(
     return ListOutcome.joined(
         listed,
         params.p,
-        es_edges=state.es_edges,
-        es_orientation=state.es_orientation,
+        es_keys=state.es_keys,
+        es_orientation=Orientation(n, state.es_arcs),
         iterations=iterations,
         stats={
             "iterations": float(iterations),
             "threshold": float(threshold),
             "er_trace_first": float(er_trace[0]),
             "er_trace_last": float(er_trace[-1]),
-            "es_out_degree": float(state.es_orientation.max_out_degree),
+            "es_out_degree": float(max_out_degree(state.es_arcs, n)),
         },
     )
 
@@ -129,18 +123,18 @@ def _fallback_broadcast(
     clique member), so the minimum member can list it.  Cost: 2·(max
     out-degree) words per link, the exact pipelined CONGEST cost.
     """
-    current = state.current_graph()
-    rounds = 2.0 * max(1, state.orientation.max_out_degree)
+    rounds = 2.0 * max(1, max_out_degree(state.arcs, state.n))
     ledger.charge(
         phase,
         rounds,
         makespan=makespan_for_rounds(params.execution.topology, rounds),
-        er_edges=len(state.er_edges),
+        er_edges=int(state.er_keys.size),
     )
+    current = state.current_graph().to_graph()
     table = clique_table(current, params.p, backend="auto").rows
-    rows = table[rows_touching_edges(table, state.er_edges, state.n)]
+    rows = table[rows_touching_edges(table, state.er_keys, state.n)]
     # All Êr obligations fulfilled; those edges retire from the graph.
-    state.er_edges = set()
-    state.orientation = state.orientation.restricted_to(state.es_edges)
+    state.er_keys = EMPTY
+    state.arcs = restrict_arcs(state.arcs, state.es_keys, state.n)
     # Rows ascend, so column 0 is each clique's minimum member: its lister.
     return Attribution(owners=rows[:, 0], rows=rows)

@@ -23,6 +23,7 @@ from repro.core.list_iteration import list_once
 from repro.core.params import AlgorithmParameters, GENERIC_VARIANT, K4_VARIANT
 from repro.core.result import ListingResult
 from repro.graphs.cliques import clique_table
+from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
 from repro.graphs.orientation import degeneracy_orientation
 
@@ -84,8 +85,8 @@ def list_cliques_congest(
     if n == 0 or p > n or graph.num_edges == 0:
         return result
 
-    current = graph.copy()
-    orientation = degeneracy_orientation(current)
+    current = graph
+    orientation = degeneracy_orientation(graph)
     # Computing a low-out-degree orientation distributedly costs O(log n)
     # rounds (H-partition à la Barenboim–Elkin).
     orient_rounds = math.log2(max(2, n))
@@ -95,7 +96,7 @@ def list_cliques_congest(
         makespan=makespan_for_rounds(params.execution.topology, orient_rounds),
         out_degree=orientation.max_out_degree,
     )
-    arboricity = max(1, orientation.max_out_degree)
+    arboricity = initial_arboricity = max(1, orientation.max_out_degree)
 
     stop = params.stop_arboricity(n)
     budget = params.list_iteration_budget(n)
@@ -111,7 +112,8 @@ def list_cliques_congest(
             phase_prefix=f"outer[{outer}]",
         )
         result.attribute_table(outcome.owners, outcome.rows)
-        current = Graph(n, outcome.es_edges)
+        # Ẽs is small by now: the local tail below wants a Graph.
+        current = CSRGraph.from_edge_keys(outcome.es_keys, n).to_graph()
         orientation = outcome.es_orientation
         new_arboricity = max(1, orientation.max_out_degree)
         outer += 1
@@ -141,9 +143,7 @@ def list_cliques_congest(
         {
             "outer_iterations": float(outer),
             "stop_arboricity": float(stop),
-            "initial_arboricity": float(
-                max(1, degeneracy_orientation(graph).max_out_degree)
-            ),
+            "initial_arboricity": float(initial_arboricity),
             "n": float(n),
         }
     )

@@ -24,7 +24,8 @@ from repro.congest.batch import MessageBatch
 from repro.congest.ledger import RoundLedger
 from repro.congest.routing import ClusterRouter
 from repro.core.gather import GatheredPairs
-from repro.graphs.graph import Edge, Graph, canonical_edge
+from repro.graphs.edge_keys import key_pairs, unique_keys
+from repro.graphs.graph import Graph
 from repro.graphs.orientation import Orientation
 
 #: A member's owned edges: tuple set (object plane) or (k, 2) array (batch).
@@ -154,75 +155,67 @@ def _reshuffle_batch(
     ledger: RoundLedger,
     phase: str,
 ) -> ReshuffleResult:
-    """Columnar reshuffle: per-member known edges as deduplicated arrays,
-    one batch through the router, per-owner dedup on the sorted columns."""
-    n = graph.num_nodes
+    """Columnar reshuffle over the whole cluster at once.
+
+    Every member's known edges (its CSR row plus its gathered pairs) go
+    through one :meth:`Orientation.direction_array` call and one keyed
+    dedup that leaves the batch grouped by member, keys ascending
+    within — the order the per-member object path sends in.  Arrival
+    dedup is one ``lexsort`` over (owner, key).
+    """
+    csr = graph.to_csr()
+    n = csr.num_nodes
     members = sorted(cluster_members)
     members_arr = np.asarray(members, dtype=np.int64)
+    k = len(members)
     owner_of, _new_id = owner_assignment(members, n)
-    chunk = math.ceil(n / len(members))
-    owner_table = members_arr[
-        np.minimum(len(members) - 1, np.arange(n, dtype=np.int64) // chunk)
-    ]
+    chunk = math.ceil(n / k)
+    owner_table = members_arr[np.minimum(k - 1, np.arange(n, dtype=np.int64) // chunk)]
 
-    csr = graph.to_csr()
-    empty = np.empty(0, dtype=np.int64)
-    src_cols: List[np.ndarray] = []
-    dst_cols: List[np.ndarray] = []
-    sender_cols: List[np.ndarray] = []
-    for u in members:
-        nbrs = csr.neighbors(u)
-        rows = gathered.get(u)
-        if rows is not None and len(rows):
-            a = np.concatenate([np.full(nbrs.size, u, dtype=np.int64), rows[:, 0]])
-            b = np.concatenate([nbrs, rows[:, 1]])
-        else:
-            a = np.full(nbrs.size, u, dtype=np.int64)
-            b = nbrs
-        if a.size == 0:
-            continue
-        src, dst = orientation.direction_array(a, b)
-        keys = np.unique(src * n + dst)  # dedup: native ∩ gathered overlap
-        src_cols.append(keys // n)
-        dst_cols.append(keys % n)
-        sender_cols.append(np.full(keys.size, u, dtype=np.int64))
-    if src_cols:
-        edge_src = np.concatenate(src_cols)
-        edge_dst = np.concatenate(dst_cols)
-        senders = np.concatenate(sender_cols)
-    else:
-        edge_src = edge_dst = senders = empty
+    native_pos, native_nbr = csr.rows_of(members_arr)
+    empty = np.empty((0, 2), dtype=np.int64)
+    blocks = [np.asarray(gathered.get(u, empty), dtype=np.int64) for u in members]
+    learned = np.concatenate([empty, *blocks])
+    pos = np.concatenate(
+        [native_pos, np.repeat(np.arange(k), [len(rows) for rows in blocks])]
+    )
+    src, dst = orientation.direction_array(
+        np.concatenate([members_arr[native_pos], learned[:, 0]]),
+        np.concatenate([native_nbr, learned[:, 1]]),
+    )
+    # pos < k <= n, so the composite key fits int64 for n < 2 million.
+    keys = unique_keys(pos * (n * n) + src * n + dst)
+    pos, arcs = np.divmod(keys, n * n)
+    edge_src, edge_dst = np.divmod(arcs, n)
     endpoints = np.empty((edge_src.size, 2), dtype=np.uint32)
     endpoints[:, 0] = edge_src
     endpoints[:, 1] = edge_dst
     batch = MessageBatch.of_edges(
-        src=senders, dst=owner_table[edge_src] if edge_src.size else empty,
-        endpoints=endpoints,
+        src=members_arr[pos], dst=owner_table[edge_src], endpoints=endpoints
     )
     # As in the object path: recovery rows may follow the primary charge.
     mark = len(ledger)
     delivered = router.route_batch(batch, ledger, phase)
 
-    owned: Dict[int, np.ndarray] = {}
-    max_owned = 0
-    total_owned = 0
-    for u in members:
-        rows = delivered.payload_rows(u).astype(np.int64)
-        if rows.shape[0]:
-            keys = np.unique(rows[:, 0] * n + rows[:, 1])  # arrival dedup
-            rows = np.empty((keys.size, 2), dtype=np.int64)
-            rows[:, 0] = keys // n
-            rows[:, 1] = keys % n
-        owned[u] = rows
-        max_owned = max(max_owned, rows.shape[0])
-        total_owned += rows.shape[0]
+    dest = np.repeat(np.arange(delivered.indptr.size - 1), np.diff(delivered.indptr))
+    rows = delivered.payload.astype(np.int64)
+    arrived = rows[:, 0] * n + rows[:, 1]
+    order = np.lexsort((arrived, dest))
+    arrived, dest = arrived[order], dest[order]
+    fresh = np.ones(arrived.size, dtype=bool)
+    fresh[1:] = (arrived[1:] != arrived[:-1]) | (dest[1:] != dest[:-1])
+    arrived, dest = arrived[fresh], dest[fresh]
+    lo = np.searchsorted(dest, members_arr, side="left").tolist()
+    hi = np.searchsorted(dest, members_arr, side="right").tolist()
+    owned = {u: key_pairs(arrived[a:b], n) for u, a, b in zip(members, lo, hi)}
+    sizes_owned = [b - a for a, b in zip(lo, hi)]
     return ReshuffleResult(
         owned=owned,
         owner_of=owner_of,
         rounds=ledger.phases()[mark].rounds,
         makespan=ledger.phases()[mark].effective_makespan,
         stats={
-            "max_owned_edges": float(max_owned),
-            "total_owned_edges": float(total_owned),
+            "max_owned_edges": float(max(sizes_owned, default=0)),
+            "total_owned_edges": float(sum(sizes_owned)),
         },
     )

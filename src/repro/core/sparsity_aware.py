@@ -50,6 +50,7 @@ from repro.core.partition import (
 from repro.core.result import Attribution
 from repro.graphs.cliques import enumerate_cliques, rows_touching_edges
 from repro.graphs.csr import clique_table_from_edge_array
+from repro.graphs.edge_keys import edge_keys, key_edges, key_member, key_pairs
 from repro.graphs.graph import Edge, Graph, canonical_edge
 
 Clique = FrozenSet[int]
@@ -79,7 +80,7 @@ def sparsity_aware_listing(
     n: int,
     members: List[int],
     owned: Dict[int, OwnedEdges],
-    goal_edges: FrozenSet[Edge],
+    goal_keys: np.ndarray,
     params: AlgorithmParameters,
     router: ClusterRouter,
     ledger: RoundLedger,
@@ -97,9 +98,10 @@ def sparsity_aware_listing(
     owned:
         Post-reshuffle edge ownership (oriented (src, dst) pairs — tuple
         sets on the object plane, ``(k, 2)`` arrays on the batch plane).
-    goal_edges:
-        The cluster's listing obligation; only cliques containing at
-        least one of these are output.
+    goal_keys:
+        The cluster's listing obligation, as sorted edge keys
+        (:mod:`repro.graphs.edge_keys`); only cliques containing at
+        least one of these edges are output.
     params.execution:
         Its ``plane`` picks the bookkeeping substrate.  The batch plane
         computes the p²-fan-out loads with ``np.bincount`` over edge
@@ -112,7 +114,7 @@ def sparsity_aware_listing(
     """
     if params.execution.plane == "batch":
         return _sparsity_aware_batch(
-            n, members, owned, goal_edges, params, router, ledger, rng,
+            n, members, owned, goal_keys, params, router, ledger, rng,
             phase_prefix,
         )
     members = sorted(members)
@@ -177,7 +179,7 @@ def sparsity_aware_listing(
     known_graph = Graph(n, all_edges)
     owners: List[int] = []
     rows: List[List[int]] = []
-    goal = set(goal_edges)
+    goal = key_edges(goal_keys, n)
     for clique in enumerate_cliques(known_graph, p):
         if not _touches_goal(clique, goal):
             continue
@@ -206,7 +208,7 @@ def _sparsity_aware_batch(
     n: int,
     members: List[int],
     owned: Dict[int, np.ndarray],
-    goal_edges: FrozenSet[Edge],
+    goal_keys: np.ndarray,
     params: AlgorithmParameters,
     router: ClusterRouter,
     ledger: RoundLedger,
@@ -262,17 +264,13 @@ def _sparsity_aware_batch(
             owner_pos, weights=2 * recipients_per_pair[pair_idx], minlength=k
         ).astype(np.int64)
         pair_counts = np.bincount(pair_idx, minlength=npairs)
-        canonical = np.unique(
-            np.minimum(edges[:, 0], edges[:, 1]) * n
-            + np.maximum(edges[:, 0], edges[:, 1])
-        )
-        known = np.empty((canonical.size, 2), dtype=np.int64)
-        known[:, 0] = canonical // n
-        known[:, 1] = canonical % n
     else:
         send_load = np.zeros(k, dtype=np.int64)
         pair_counts = np.zeros(npairs, dtype=np.int64)
-        known = np.empty((0, 2), dtype=np.int64)
+    # The learned edge set (the kernel's own dedup of these distinct
+    # rows is one sort and one neighbor compare).
+    known_keys = edge_keys(edges, n)
+    known = key_pairs(known_keys, n)
 
     assigned = min(k, s**p)
     membership_digits = radix_digit_table(s, p)[:assigned]
@@ -304,7 +302,13 @@ def _sparsity_aware_batch(
         table = executor.clique_table(known, p)
     else:
         table = clique_table_from_edge_array(known, p)
-    kept = table[rows_touching_edges(table, goal_edges, n)]
+    # Every edge of a learned clique is a learned edge, so when all of
+    # those are goal edges the filter is the identity (the K4 variant
+    # makes every cluster edge a goal edge).
+    if key_member(goal_keys, known_keys).all():
+        kept = table
+    else:
+        kept = table[rows_touching_edges(table, goal_keys, n)]
     owners = np.asarray(members, dtype=np.int64)[
         responsible_index_array(part_arr[kept], s)
     ]

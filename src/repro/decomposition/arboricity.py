@@ -14,7 +14,9 @@ which this module returns explicitly.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Set, Tuple
+
+import numpy as np
 
 from repro.graphs.graph import Edge, Graph, canonical_edge
 from repro.graphs.orientation import Orientation
@@ -42,11 +44,12 @@ def peel_low_degree(
     """
     if threshold < 0:
         raise ValueError(f"threshold must be non-negative, got {threshold}")
+    n = graph.num_nodes
     remainder = graph.copy()
-    orientation = Orientation(graph.num_nodes)
+    arcs: List[int] = []
     es_edges: Set[Edge] = set()
     if threshold == 0:
-        return remainder, orientation, es_edges
+        return remainder, Orientation(n), es_edges
 
     queue: Deque[int] = deque(
         v for v in graph.nodes() if 0 < remainder.degree(v) < threshold
@@ -58,12 +61,13 @@ def peel_low_degree(
         if remainder.degree(v) == 0 or remainder.degree(v) >= threshold:
             continue
         for u in list(remainder.neighbors(v)):
-            orientation.orient(v, u)
+            arcs.append(v * n + u)
             es_edges.add(canonical_edge(v, u))
             remainder.remove_edge(v, u)
             if 0 < remainder.degree(u) < threshold and u not in queued:
                 queue.append(u)
                 queued.add(u)
+    orientation = Orientation(n, np.sort(np.asarray(arcs, dtype=np.int64)))
     return remainder, orientation, es_edges
 
 

@@ -9,13 +9,15 @@ bandwidth is (min internal degree) words per node per Õ(1) rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional
 
-from repro.graphs.graph import Edge, Graph, canonical_edge
+import numpy as np
+
+from repro.graphs.edge_keys import key_pairs
 
 
-@dataclass
+@dataclass(eq=False)
 class Cluster:
     """One n^δ-cluster of an expander decomposition.
 
@@ -26,9 +28,11 @@ class Cluster:
         members in the distributed construction, per Theorem 2.3).
     nodes:
         Member node identifiers (global IDs).
-    edges:
-        The cluster's ``Em`` edges (canonical pairs, both endpoints in
-        ``nodes``).
+    edge_keys:
+        The cluster's ``Em`` edges as sorted keys ``u·n + v`` (u < v,
+        both endpoints in ``nodes``; see :mod:`repro.graphs.edge_keys`).
+    n:
+        Node count of the graph the keys are taken over.
     min_internal_degree:
         Minimum over members of the number of cluster-internal neighbors;
         this is the routing capacity n^δ used by Theorem 2.4 charges.
@@ -42,7 +46,8 @@ class Cluster:
 
     cluster_id: int
     nodes: FrozenSet[int]
-    edges: FrozenSet[Edge]
+    edge_keys: np.ndarray
+    n: int
     min_internal_degree: int
     mixing_time: Optional[float] = None
     conductance: Optional[float] = None
@@ -52,11 +57,14 @@ class Cluster:
             raise ValueError(
                 f"cluster {self.cluster_id} must have >= 2 nodes, got {len(self.nodes)}"
             )
-        for u, v in self.edges:
-            if u not in self.nodes or v not in self.nodes:
-                raise ValueError(
-                    f"cluster {self.cluster_id}: edge ({u}, {v}) leaves the node set"
-                )
+        pairs = key_pairs(self.edge_keys, self.n)
+        members = np.fromiter(self.nodes, dtype=np.int64)
+        outside = ~np.isin(pairs, members).all(axis=1)
+        if outside.any():
+            u, v = pairs[np.argmax(outside)].tolist()
+            raise ValueError(
+                f"cluster {self.cluster_id}: edge ({u}, {v}) leaves the node set"
+            )
 
     @property
     def size(self) -> int:
@@ -65,17 +73,13 @@ class Cluster:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return int(self.edge_keys.size)
 
     def internal_degree(self, v: int) -> int:
         """Number of cluster edges incident to member ``v``."""
         if v not in self.nodes:
             raise ValueError(f"node {v} is not a member of cluster {self.cluster_id}")
-        return sum(1 for e in self.edges if v in e)
-
-    def induced_graph(self, n: int) -> Graph:
-        """The cluster as a :class:`Graph` on the global node range."""
-        return Graph(n, self.edges)
+        return int((key_pairs(self.edge_keys, self.n) == v).sum())
 
     def new_ids(self) -> Dict[int, int]:
         """Lemma 2.5 — fresh IDs 1..k for cluster members.

@@ -28,15 +28,20 @@ Theorem 2.3: Õ(n^{1−δ}).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
+
+import numpy as np
+import scipy.sparse as sp
 
 from repro.congest.ledger import RoundLedger
 from repro.decomposition.arboricity import peel_low_degree
 from repro.decomposition.cluster import Cluster, cluster_membership
 from repro.decomposition.mixing import estimate_mixing_time, polylog_mixing_budget
+from repro.decomposition.spectral import adjacency_matrix
 from repro.decomposition.sweep_cut import sweep_cut
-from repro.graphs.graph import Edge, Graph, canonical_edge
+from repro.graphs.edge_keys import EMPTY, arc_edge_keys, key_pairs
+from repro.graphs.graph import Graph
 from repro.graphs.orientation import Orientation
 
 
@@ -73,28 +78,29 @@ class DecompositionParams:
         return 1.0 / (2.0 * log_n * log_n)
 
 
-@dataclass
+@dataclass(eq=False)
 class Decomposition:
-    """The output object of Definition 2.2.
+    """The output object of Definition 2.2, edge sets as sorted key arrays
+    (:mod:`repro.graphs.edge_keys`).
 
-    ``em_edges = union of cluster edges``; ``es_orientation`` is the
-    arboricity witness for ``es_edges``; ``er_edges`` is the leftover.
+    ``em_keys`` = union of the cluster edges; ``es_orientation`` is the
+    arboricity witness for ``es_keys`` (backed by its arc keys);
+    ``er_keys`` is the leftover.
     """
 
     n: int
     threshold: int
     phi: float
     clusters: List[Cluster]
-    es_edges: Set[Edge]
+    es_keys: np.ndarray
     es_orientation: Orientation
-    er_edges: Set[Edge]
+    er_keys: np.ndarray
 
     @property
-    def em_edges(self) -> Set[Edge]:
-        edges: Set[Edge] = set()
-        for cluster in self.clusters:
-            edges |= cluster.edges
-        return edges
+    def em_keys(self) -> np.ndarray:
+        if not self.clusters:
+            return EMPTY
+        return np.sort(np.concatenate([c.edge_keys for c in self.clusters]))
 
     @property
     def delta_exponent(self) -> float:
@@ -109,13 +115,14 @@ class Decomposition:
 
     def stats(self) -> Dict[str, float]:
         """Summary quantities used by benchmarks and EXPERIMENTS.md."""
-        total = len(self.em_edges) + len(self.es_edges) + len(self.er_edges)
+        em = sum(c.num_edges for c in self.clusters)
+        total = em + self.es_keys.size + self.er_keys.size
         return {
             "num_clusters": len(self.clusters),
-            "em_edges": len(self.em_edges),
-            "es_edges": len(self.es_edges),
-            "er_edges": len(self.er_edges),
-            "er_fraction": (len(self.er_edges) / total) if total else 0.0,
+            "em_edges": em,
+            "es_edges": self.es_keys.size,
+            "er_edges": self.er_keys.size,
+            "er_fraction": (self.er_keys.size / total) if total else 0.0,
             "es_out_degree": self.es_orientation.max_out_degree,
             "min_cluster_degree": min(
                 (c.min_internal_degree for c in self.clusters), default=0
@@ -135,7 +142,9 @@ def expander_decomposition(
     Parameters
     ----------
     graph:
-        Input graph; only its edges are read.
+        Input graph — a :class:`Graph` or a
+        :class:`~repro.graphs.csr.CSRGraph` snapshot; only its edges are
+        read.
     threshold:
         The n^δ value (cluster degree bound / Es arboricity).
     phi:
@@ -159,9 +168,9 @@ def expander_decomposition(
     best: Optional[Decomposition] = None
     for _attempt in range(params.max_retries + 1):
         decomposition = _decompose_once(graph, params, current_phi)
-        if best is None or len(decomposition.er_edges) < len(best.er_edges):
+        if best is None or decomposition.er_keys.size < best.er_keys.size:
             best = decomposition
-        if len(decomposition.er_edges) <= params.er_fraction * max(1, graph.num_edges):
+        if decomposition.er_keys.size <= params.er_fraction * max(1, graph.num_edges):
             break
         current_phi /= 2.0
     assert best is not None
@@ -176,7 +185,7 @@ def expander_decomposition(
             threshold=best.threshold,
             delta=round(delta, 4),
             clusters=len(best.clusters),
-            er_edges=len(best.er_edges),
+            er_edges=int(best.er_keys.size),
         )
     return best
 
@@ -185,90 +194,91 @@ def _decompose_once(
     graph: Graph, params: DecompositionParams, phi: float
 ) -> Decomposition:
     n = graph.num_nodes
-    es_edges: Set[Edge] = set()
-    es_orientation = Orientation(n)
-    er_edges: Set[Edge] = set()
+    es_arcs: List[np.ndarray] = []
+    er_parts: List[np.ndarray] = []
     clusters: List[Cluster] = []
 
     def absorb_peeling(work: Graph) -> Graph:
-        remainder, orientation, peeled = peel_low_degree(work, params.threshold)
-        es_edges.update(peeled)
-        nonlocal es_orientation
-        es_orientation = es_orientation.merged_with(orientation)
+        remainder, orientation, _peeled = peel_low_degree(work, params.threshold)
+        es_arcs.append(orientation.encoded_oriented())
         return remainder
 
     def process(work: Graph, depth: int) -> None:
         if work.num_edges == 0:
             return
         if depth > params.max_recursion:
-            er_edges.update(work.edges())
+            er_parts.append(work.to_csr().edge_keys())
             return
         for component in work.connected_components():
-            active = {v for v in component if work.degree(v) > 0}
-            if len(active) < 2:
+            active_set = {v for v in component if work.degree(v) > 0}
+            if len(active_set) < 2:
                 continue
-            comp_edges = {
-                canonical_edge(u, v)
-                for u in active
-                for v in work.neighbors(u)
-                if u < v
-            }
-            cut = sweep_cut(work, active)
+            active = sorted(active_set)
+            # One induced adjacency per component serves the edge keys,
+            # the sweep cut, the cut edges and the mixing estimate.
+            adj = adjacency_matrix(work, active)
+            ordered = np.asarray(active, dtype=np.int64)
+            upper = sp.triu(adj, k=1).tocoo()
+            # Local order follows node order, so these keys come sorted.
+            comp_keys = ordered[upper.row] * n + ordered[upper.col]
+            cut = sweep_cut(work, active, adj)
             if cut is None or cut.conductance >= phi:
-                cluster = _make_cluster(work, active, comp_edges, len(clusters), cut)
+                cluster = _make_cluster(
+                    work, active, comp_keys, len(clusters), cut, adj
+                )
                 if cluster is not None:
                     clusters.append(cluster)
                 else:
-                    er_edges.update(comp_edges)
+                    er_parts.append(comp_keys)
                 continue
             # Low-conductance component: split along the sweep cut.
             side = cut.side
-            other = active - side
-            crossing = {
-                canonical_edge(u, v)
-                for u in side
-                for v in work.neighbors(u)
-                if v in other
-            }
-            er_edges.update(crossing)
-            sub = work.subgraph_nodes(side | other)
-            sub.remove_edges(crossing)
+            on_side = np.isin(ordered, list(side))
+            crossing = comp_keys[on_side[upper.row] != on_side[upper.col]]
+            er_parts.append(crossing)
+            sub = work.subgraph_nodes(side | (active_set - side))
+            sub.remove_edges(key_pairs(crossing, n).tolist())
             sub = absorb_peeling(sub)
             process(sub, depth + 1)
 
-    remainder = absorb_peeling(graph.copy())
+    # A Graph is copied, so its neighbor sets keep the iteration order the
+    # peel's queue follows; a snapshot builds its work graph in bulk.
+    csr = graph.to_csr()
+    remainder = absorb_peeling(csr.to_graph() if graph is csr else graph.copy())
     process(remainder, 0)
+    arcs = np.sort(np.concatenate(es_arcs))
     return Decomposition(
         n=n,
         threshold=params.threshold,
         phi=phi,
         clusters=clusters,
-        es_edges=es_edges,
-        es_orientation=es_orientation,
-        er_edges=er_edges,
+        es_keys=np.sort(arc_edge_keys(arcs, n)),
+        es_orientation=Orientation(n, arcs),
+        er_keys=np.sort(np.concatenate(er_parts)) if er_parts else EMPTY,
     )
 
 
 def _make_cluster(
     work: Graph,
-    nodes: Set[int],
-    edges: Set[Edge],
+    nodes: List[int],
+    edge_keys: np.ndarray,
     cluster_id: int,
     cut,
+    adj: sp.csr_matrix,
 ) -> Optional[Cluster]:
     """Build a Cluster for an expander component; None if degenerate."""
     if len(nodes) < 2:
         return None
-    min_degree = min(work.degree(v) for v in nodes)
+    min_degree = int(np.diff(adj.indptr).min())
     if min_degree < 1:
         return None
-    mixing = estimate_mixing_time(work, nodes)
     return Cluster(
         cluster_id=cluster_id,
         nodes=frozenset(nodes),
-        edges=frozenset(edges),
+        edge_keys=edge_keys,
+        n=work.num_nodes,
         min_internal_degree=min_degree,
-        mixing_time=mixing,
+        mixing_time=estimate_mixing_time(work, nodes, adj),
         conductance=None if cut is None else cut.conductance,
     )
 
@@ -287,33 +297,29 @@ def validate_decomposition(
     4. |Er| ≤ |E|/6.
     5. (optional) cluster mixing times within the polylog budget.
     """
-    em = decomposition.em_edges
-    es = decomposition.es_edges
-    er = decomposition.er_edges
-    union = em | es | er
-    if union != graph.edge_set():
+    em = decomposition.em_keys
+    es = decomposition.es_keys
+    er = decomposition.er_keys
+    parts = np.concatenate([em, es, er])
+    union = np.unique(parts)
+    if not np.array_equal(union, graph.to_csr().edge_keys()):
         raise ValueError("decomposition parts do not cover the edge set")
-    if em & es or em & er or es & er:
+    if union.size != parts.size:
         raise ValueError("decomposition parts are not disjoint")
 
     cluster_membership(decomposition.clusters)  # raises on overlap
     for cluster in decomposition.clusters:
-        internal: Dict[int, int] = {v: 0 for v in cluster.nodes}
-        for u, v in cluster.edges:
-            internal[u] += 1
-            internal[v] += 1
-        worst = min(internal.values())
+        members = np.fromiter(cluster.nodes, dtype=np.int64)
+        ends = key_pairs(cluster.edge_keys, decomposition.n).ravel()
+        worst = int(np.bincount(ends, minlength=decomposition.n)[members].min())
         if worst < decomposition.threshold:
             raise ValueError(
                 f"cluster {cluster.cluster_id} has internal degree {worst} "
                 f"< threshold {decomposition.threshold}"
             )
 
-    oriented = {
-        canonical_edge(u, v)
-        for u, v in decomposition.es_orientation.oriented_edges()
-    }
-    if oriented != es:
+    arcs = decomposition.es_orientation.encoded_oriented()
+    if not np.array_equal(np.sort(arc_edge_keys(arcs, decomposition.n)), es):
         raise ValueError("Es orientation does not cover exactly Es")
     if decomposition.threshold > 0 and (
         decomposition.es_orientation.max_out_degree > decomposition.threshold
@@ -323,9 +329,9 @@ def validate_decomposition(
             f"exceeds threshold {decomposition.threshold}"
         )
 
-    if len(er) > max(1, graph.num_edges) / 6.0:
+    if er.size > max(1, graph.num_edges) / 6.0:
         raise ValueError(
-            f"|Er| = {len(er)} exceeds |E|/6 = {graph.num_edges / 6:.1f}"
+            f"|Er| = {er.size} exceeds |E|/6 = {graph.num_edges / 6:.1f}"
         )
 
     if strict_mixing:

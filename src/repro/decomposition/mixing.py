@@ -25,12 +25,18 @@ from repro.graphs.graph import Graph
 _DENSE_CUTOFF = 64
 
 
-def spectral_gap(graph: Graph, nodes: Sequence[int]) -> Optional[float]:
-    """1 − λ₂ of the lazy walk on the induced subgraph (None if < 3 nodes)."""
+def spectral_gap(
+    graph: Graph, nodes: Sequence[int], adj: Optional[sp.csr_matrix] = None
+) -> Optional[float]:
+    """1 − λ₂ of the lazy walk on the induced subgraph (None if < 3 nodes).
+
+    ``adj`` is the induced adjacency matrix when the caller has it.
+    """
     ordered = sorted(nodes)
     if len(ordered) < 3:
         return None
-    adj = adjacency_matrix(graph, ordered)
+    if adj is None:
+        adj = adjacency_matrix(graph, ordered)
     walk = lazy_walk_matrix(adj)
     k = walk.shape[0]
     if k <= _DENSE_CUTOFF:
@@ -49,17 +55,22 @@ def spectral_gap(graph: Graph, nodes: Sequence[int]) -> Optional[float]:
     return float(max(1e-12, 1.0 - lambda2))
 
 
-def estimate_mixing_time(graph: Graph, nodes: Sequence[int]) -> Optional[float]:
+def estimate_mixing_time(
+    graph: Graph, nodes: Sequence[int], adj: Optional[sp.csr_matrix] = None
+) -> Optional[float]:
     """Relaxation-time upper estimate of the lazy-walk mixing time.
 
     t_mix(1/4) ≤ (1/gap) · ln(4 / π_min) with π_min the smallest
     stationary mass; returns ``None`` for components with < 3 nodes.
+    The induced adjacency matrix (``adj``, or read from ``graph``) is
+    built once and serves both the gap and π_min.
     """
     ordered = sorted(nodes)
-    gap = spectral_gap(graph, ordered)
-    if gap is None:
+    if len(ordered) < 3:
         return None
-    adj = adjacency_matrix(graph, ordered)
+    if adj is None:
+        adj = adjacency_matrix(graph, ordered)
+    gap = spectral_gap(graph, ordered, adj)
     degrees = np.asarray(adj.sum(axis=1)).flatten()
     total = degrees.sum()
     pi_min = degrees.min() / total

@@ -7,7 +7,7 @@ a candidate component, represented with local indices ``0..k-1``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,27 +20,27 @@ from repro.graphs.graph import Graph
 _DENSE_CUTOFF = 64
 
 
-def local_indexing(nodes: Sequence[int]) -> Tuple[Dict[int, int], List[int]]:
-    """Map a node subset to contiguous local indices (and back)."""
-    ordered = sorted(nodes)
-    return {v: i for i, v in enumerate(ordered)}, ordered
-
-
 def adjacency_matrix(graph: Graph, nodes: Sequence[int]) -> sp.csr_matrix:
-    """Sparse adjacency matrix of the induced subgraph (local indices)."""
-    index, ordered = local_indexing(nodes)
-    keep = set(ordered)
-    rows: List[int] = []
-    cols: List[int] = []
-    for u in ordered:
-        iu = index[u]
-        for v in graph.neighbors(u):
-            if v in keep:
-                rows.append(iu)
-                cols.append(index[v])
-    data = np.ones(len(rows))
-    k = len(ordered)
-    return sp.csr_matrix((data, (rows, cols)), shape=(k, k))
+    """Sparse adjacency matrix of the induced subgraph (local indices).
+
+    Read from the CSR rows of ``graph`` (a :class:`Graph` or a
+    :class:`~repro.graphs.csr.CSRGraph`): the member rows are gathered
+    in one pass and kept where the neighbor is a member too.  Local
+    indices follow the sorted node order, so the column indices of
+    every row ascend.
+    """
+    csr = graph.to_csr()
+    ordered = np.asarray(sorted(nodes), dtype=np.int64)
+    k = ordered.size
+    local = np.full(csr.num_nodes, -1, dtype=np.int64)
+    local[ordered] = np.arange(k)
+    rows, nbrs = csr.rows_of(ordered)
+    cols = local[nbrs]
+    inside = cols >= 0
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[inside], minlength=k), out=indptr[1:])
+    cols = cols[inside]
+    return sp.csr_matrix((np.ones(cols.size), cols, indptr), shape=(k, k))
 
 
 def lazy_walk_matrix(adj: sp.csr_matrix) -> sp.csr_matrix:

@@ -9,13 +9,13 @@ a component is *not* an expander the decomposition can split it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.decomposition.spectral import (
     adjacency_matrix,
-    local_indexing,
     normalized_laplacian_second_eigenpair,
 )
 from repro.graphs.graph import Graph
@@ -40,8 +40,14 @@ class SweepCutResult:
     lambda2: float
 
 
-def sweep_cut(graph: Graph, nodes: Sequence[int]) -> Optional[SweepCutResult]:
+def sweep_cut(
+    graph: Graph, nodes: Sequence[int], adj: Optional[sp.csr_matrix] = None
+) -> Optional[SweepCutResult]:
     """Best sweep cut of the induced subgraph on ``nodes``.
+
+    ``adj`` is the induced adjacency matrix when the caller already has
+    it (the decomposition builds one per component and shares it with
+    the mixing estimate); otherwise it is read from ``graph``.
 
     Returns ``None`` for components too small to cut (< 4 nodes) — the
     decomposition handles those by other means (peeling or leftover).
@@ -49,7 +55,8 @@ def sweep_cut(graph: Graph, nodes: Sequence[int]) -> Optional[SweepCutResult]:
     ordered = sorted(nodes)
     if len(ordered) < 4:
         return None
-    adj = adjacency_matrix(graph, ordered)
+    if adj is None:
+        adj = adjacency_matrix(graph, ordered)
     degrees = np.asarray(adj.sum(axis=1)).flatten()
     if np.any(degrees == 0):
         raise ValueError("sweep cut requires a component with no isolated vertices")
@@ -58,35 +65,27 @@ def sweep_cut(graph: Graph, nodes: Sequence[int]) -> Optional[SweepCutResult]:
     scores = fiedler / np.sqrt(degrees)
     order = np.argsort(scores)
 
+    # Prefix i holds order[:i+1].  An edge lies inside a prefix from the
+    # step its later endpoint joins, so the cut of every prefix is its
+    # volume minus twice its inside edges — all integers, exact in
+    # float64.  The last prefix (the whole component) is not a cut.
+    position = np.empty(len(ordered), dtype=np.int64)
+    position[order] = np.arange(len(ordered))
+    upper = sp.triu(adj, k=1).tocoo()
+    joins = np.maximum(position[upper.row], position[upper.col])
+    inside = np.cumsum(np.bincount(joins, minlength=len(ordered)))[:-1]
+    prefix_volume = np.cumsum(degrees[order])[:-1]
+    cut_edges = prefix_volume - 2.0 * inside
     total_volume = float(degrees.sum())
-    adj_lil = adj.tolil()
-    in_prefix = np.zeros(len(ordered), dtype=bool)
-    cut_edges = 0.0
-    prefix_volume = 0.0
-    best_conductance = np.inf
-    best_prefix_len = 0
-
-    for step, local_v in enumerate(order[:-1]):
-        # Moving local_v into the prefix: edges to prefix members stop
-        # being cut edges, edges to the outside become cut edges.
-        to_prefix = sum(
-            1 for u in adj_lil.rows[local_v] if in_prefix[u]
-        )
-        deg_v = degrees[local_v]
-        cut_edges += deg_v - 2 * to_prefix
-        prefix_volume += deg_v
-        in_prefix[local_v] = True
-        denom = min(prefix_volume, total_volume - prefix_volume)
-        if denom <= 0:
-            continue
-        conductance = cut_edges / denom
-        if conductance < best_conductance:
-            best_conductance = conductance
-            best_prefix_len = step + 1
-
-    if best_prefix_len == 0 or not np.isfinite(best_conductance):
+    denom = np.minimum(prefix_volume, total_volume - prefix_volume)
+    conductance = np.full(denom.size, np.inf)
+    valid = denom > 0
+    conductance[valid] = cut_edges[valid] / denom[valid]
+    best = int(np.argmin(conductance))  # first minimum, as the scan kept
+    best_conductance = conductance[best]
+    if not np.isfinite(best_conductance):
         return None
-    side_local = order[:best_prefix_len]
+    side_local = order[: best + 1]
     side = {ordered[i] for i in side_local}
     # Report the smaller-volume side for downstream balance heuristics.
     side_volume = float(degrees[side_local].sum())

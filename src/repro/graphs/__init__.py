@@ -20,6 +20,9 @@ the *input graph* side:
   (:meth:`~repro.graphs.graph.Graph.to_csr`) plus the numpy kernels
   behind the ``"csr"`` backend: degeneracy ordering, forward
   neighborhoods, bitset-row intersections, triangle/Kp counting.
+- :mod:`~repro.graphs.edge_keys` — edge sets as sorted ``int64`` key
+  arrays (``u·n + v``), the form in which LIST/ARB-LIST and the
+  expander decomposition carry Ês, Êr and their orientations.
 - :mod:`~repro.graphs.overlay` — the delta-buffered side of the CSR:
   :class:`~repro.graphs.overlay.CSROverlay` records net edge changes
   over a frozen snapshot (merged neighbor rows, live adjacency

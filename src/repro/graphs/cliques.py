@@ -189,22 +189,21 @@ def cliques_touching_edges(cliques: Set[Clique], edges) -> Set[Clique]:
     return result
 
 
-def rows_touching_edges(rows: np.ndarray, edges, n: int) -> np.ndarray:
-    """Boolean mask of the ``rows`` containing at least one of ``edges``.
+def rows_touching_edges(rows: np.ndarray, keys: np.ndarray, n: int) -> np.ndarray:
+    """Boolean mask of the ``rows`` containing at least one edge of ``keys``.
 
     The columnar twin of :func:`cliques_touching_edges`: ``rows`` is a
-    ``(count, p)`` clique matrix with members ascending, ``edges`` any
-    iterable of node pairs on ``n`` nodes.  Each of the p(p−1)/2 member
-    pairs is encoded as ``u·n + v`` and looked up among the edge keys
-    (``np.isin`` uses a dense lookup table when the key range is small
-    next to the input sizes, a sort otherwise).
+    ``(count, p)`` clique matrix with members ascending, ``keys`` a
+    sorted edge-key array on ``n`` nodes (``u·n + v``, u < v; see
+    :mod:`repro.graphs.edge_keys`).  Each of the p(p−1)/2 member pairs
+    is encoded the same way and looked up among the keys (``np.isin``
+    uses a dense lookup table when the key range is small next to the
+    input sizes, a sort otherwise).
     """
     rows = np.asarray(rows, dtype=np.int64)
     touches = np.zeros(rows.shape[0], dtype=bool)
-    pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-    if not rows.shape[0] or not pairs.shape[0]:
+    if not rows.shape[0] or not keys.size:
         return touches
-    keys = pairs.min(axis=1) * n + pairs.max(axis=1)
     p = rows.shape[1]
     for i in range(p):
         for j in range(i + 1, p):

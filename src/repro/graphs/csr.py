@@ -56,6 +56,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
+from repro.graphs.edge_keys import unique_keys
 from repro.graphs.graph import Graph
 from repro.graphs.table import CliqueTable
 
@@ -76,7 +77,6 @@ CHUNK_EDGES = 16384
 POPCOUNT_BLOCK_BYTES = 1 << 22
 
 _ARANGE8 = np.arange(8, dtype=np.uint8)
-_ARANGE64 = np.arange(64, dtype=np.uint64)
 
 #: Word byte order of the host.  The packed layout is defined byte-wise
 #: (node j -> byte j >> 3, bit j & 7), so on little-endian hosts a
@@ -170,10 +170,40 @@ class CSRGraph:
             indices[indptr[v] : indptr[v + 1]] = sorted(graph.neighbors(v))
         return cls(indptr, indices)
 
+    @classmethod
+    def from_edge_keys(cls, keys: np.ndarray, n: int) -> "CSRGraph":
+        """Snapshot of the undirected edge keys ``u·n + v`` (u < v, see
+        :mod:`repro.graphs.edge_keys`) on ``n`` nodes — one sort, no
+        Python loop over edges."""
+        keys = np.asarray(keys, dtype=np.int64)
+        both = np.concatenate([keys, (keys % n) * n + keys // n])
+        both.sort()
+        rows, indices = np.divmod(both, n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(indptr, indices)
+
+    def to_csr(self) -> "CSRGraph":
+        """The snapshot itself, so code that reads adjacency through
+        ``graph.to_csr()`` takes a :class:`Graph` or a snapshot alike."""
+        return self
+
     def to_graph(self) -> Graph:
-        """Round-trip back to the mutable dict-of-sets representation."""
-        table = self.edge_table()
-        return Graph(self.num_nodes, zip(table[:, 0].tolist(), table[:, 1].tolist()))
+        """Round-trip back to the mutable dict-of-sets representation.
+
+        Each neighbor set is built from its sorted row in one call, and
+        the new graph starts with this snapshot as its cached
+        :meth:`Graph.to_csr` (its first mutation drops it).
+        """
+        graph = Graph(self.num_nodes)
+        flat = self.indices.tolist()
+        bounds = self.indptr.tolist()
+        graph._adj = {
+            v: set(flat[bounds[v] : bounds[v + 1]]) for v in range(self.num_nodes)
+        }
+        graph._num_edges = self.num_edges
+        graph._csr = self
+        return graph
 
     def edge_table(self) -> np.ndarray:
         """All undirected edges as a ``(m, 2)`` canonical (u < v) table.
@@ -188,6 +218,11 @@ class CSRGraph:
         table[:, 0] = rows[keep]
         table[:, 1] = self.indices[keep]
         return table
+
+    def edge_keys(self) -> np.ndarray:
+        """All undirected edges as sorted keys ``u·n + v`` (u < v)."""
+        table = self.edge_table()
+        return table[:, 0] * self.num_nodes + table[:, 1]
 
     # ------------------------------------------------------------------
     # Accessors
@@ -206,6 +241,17 @@ class CSRGraph:
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
+
+    def rows_of(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The neighbor rows of ``nodes`` concatenated in order, as
+        ``(position in nodes, neighbor)`` columns — one gather, no
+        Python loop over the nodes."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        starts = self.indptr[nodes]
+        counts = self.indptr[nodes + 1] - starts
+        offsets = np.cumsum(counts) - counts
+        gather = np.arange(int(counts.sum())) + np.repeat(starts - offsets, counts)
+        return np.repeat(np.arange(nodes.size), counts), self.indices[gather]
 
     def degrees(self) -> np.ndarray:
         """All degrees as one array (``degrees()[v] == degree(v)``)."""
@@ -414,27 +460,38 @@ pack_bitset_rows = _pack_bitset_rows
 def _expand_members(cand: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Set bits of a stack of bitset rows, as ``(row_index, node_id)``.
 
-    Byte-sparse: only nonzero bytes (of the uint8 view) are expanded, so
-    cost tracks the number of set bits.  Within one row the returned
-    node ids ascend, and rows appear in ascending order — the level
-    pipeline relies on this to keep prefix groups contiguous.
+    Word-sparse: one ``flatnonzero`` finds the nonzero 64-bit words, and
+    their set bits are peeled lowest-first, one pass per bit rank, each
+    written straight to its slot (word offset from a popcount cumsum
+    plus the rank) — so cost tracks the number of set bits, and the
+    scan of the mostly-zero candidate matrix is over words, not bytes.
+    Within one row the returned node ids ascend, and rows appear in
+    ascending order — the level pipeline relies on this to keep prefix
+    groups contiguous.  The word arithmetic does not depend on byte
+    order.  ``uint8`` rows (the pre-uint64 packed layout) take a
+    byte-sparse path, kept as the reference the word path is tested
+    against.
     """
-    if cand.dtype == np.uint64 and not _LITTLE:  # pragma: no cover
-        # Big-endian: the uint8 view's byte order would descend within
-        # each word and break the ascending-node invariant; expand the
-        # words directly instead.
-        ri, wj = np.nonzero(cand)
-        if ri.size == 0:
-            return ri, wj
-        vals = cand[ri, wj]
-        wide = (vals[:, None] >> _ARANGE64) & np.uint64(1)
-        ki, bit = np.nonzero(wide)
-        return ri[ki], (wj[ki] << 6) + bit
-    cand8 = cand.view(np.uint8) if cand.dtype != np.uint8 else cand
-    ri, bj = np.nonzero(cand8)
+    if cand.dtype == np.uint64:
+        width = cand.shape[1] if cand.ndim == 2 else 1
+        flat = cand.reshape(-1)
+        where = np.flatnonzero(flat)
+        words = flat[where]
+        counts = _popcount(words).astype(np.int64)
+        slot = np.cumsum(counts) - counts
+        base = (where % width) << 6
+        nodes = np.empty(int(counts.sum()), dtype=np.int64)
+        one = np.uint64(1)
+        while words.size:
+            rest = words & (words - one)
+            nodes[slot] = base + _popcount((words ^ rest) - one).astype(np.int64)
+            more = rest != 0
+            words, slot, base = rest[more], slot[more] + 1, base[more]
+        return np.repeat(where // width, counts), nodes
+    ri, bj = np.nonzero(cand)
     if ri.size == 0:
         return ri, bj
-    vals = cand8[ri, bj]
+    vals = cand[ri, bj]
     eight = (vals[:, None] >> _ARANGE8) & 1
     ki, bit = np.nonzero(eight)
     return ri[ki], (bj[ki] << 3) + bit
@@ -714,13 +771,13 @@ def compact_edge_array(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.nd
     verts, local = np.unique(edges, return_inverse=True)
     local = local.reshape(edges.shape)
     k = verts.size
-    lo = local.min(axis=1)
-    hi = local.max(axis=1)
-    keep = np.unique(lo * max(1, k) + hi)  # collapse duplicates only
-    lo, hi = keep // max(1, k), keep % max(1, k)
+    lo = np.minimum(local[:, 0], local[:, 1])
+    hi = np.maximum(local[:, 0], local[:, 1])
+    keys = unique_keys(lo * max(1, k) + hi)  # collapse duplicates
+    lo, hi = np.divmod(keys, max(1, k))
     fptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(lo, minlength=k), out=fptr[1:])
-    return verts, fptr, hi  # np.unique sorted by (lo, hi): grouped+sorted
+    return verts, fptr, hi  # keys sorted by (lo, hi): grouped + sorted
 
 
 def clique_table_from_edge_array(edges: np.ndarray, p: int) -> np.ndarray:
@@ -733,7 +790,8 @@ def clique_table_from_edge_array(edges: np.ndarray, p: int) -> np.ndarray:
     low→high under the *identity* order (no degeneracy peel — learned
     subgraphs are small and the pipeline only needs some total order),
     and the usual bitset level pipeline (sorted-array fallback past
-    :data:`BITSET_MAX_NODES`) emits the table in original vertex ids.
+    :data:`BITSET_MAX_NODES`) emits the table in original vertex ids,
+    members ascending within every row.
     """
     if p < 3:
         raise ValueError("clique tables exist for p >= 3 only")
@@ -747,15 +805,11 @@ def clique_table_from_edge_array(edges: np.ndarray, p: int) -> np.ndarray:
     if k <= BITSET_MAX_NODES:
         bits = _pack_bitset_rows(fptr, findices, k)
         table = table_from_forward_bits(fptr, findices, bits, p)
-    else:  # pragma: no cover - learned subgraphs stay far below the cap
-        rows: List[Tuple[int, ...]] = []
-        _search_forward_sorted(fptr, findices, p, rows.append)
-        table = (
-            np.asarray(rows, dtype=np.int64)
-            if rows
-            else np.empty((0, p), dtype=np.int64)
-        )
-    return np.sort(verts[table], axis=1)
+    else:
+        table = table_from_forward_sorted(fptr, findices, p)
+    # Rows already ascend: the order is the identity on the sorted
+    # ``verts``, and each level appends a forward neighbor of the last.
+    return verts[table]
 
 
 def _count_bitset(csr: CSRGraph, p: int) -> int:

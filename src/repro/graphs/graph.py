@@ -21,7 +21,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 Edge = Tuple[int, int]
 
@@ -194,6 +194,7 @@ class Graph:
         g = Graph(self._n)
         g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
         g._num_edges = self._num_edges
+        g._csr = self._csr  # immutable; the copy's first mutation drops it
         return g
 
     def to_csr(self) -> "CSRGraph":
@@ -287,13 +288,3 @@ class Graph:
 def graph_from_edge_set(n: int, edges: Iterable[Edge]) -> Graph:
     """Convenience constructor mirroring :meth:`Graph.subgraph_edges`."""
     return Graph(n, edges)
-
-
-def triangle_edges(clique: FrozenSet[int]) -> Set[Edge]:
-    """All edges of a clique, canonicalized (utility for verification)."""
-    members = sorted(clique)
-    return {
-        (members[i], members[j])
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
-    }

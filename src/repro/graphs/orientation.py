@@ -18,35 +18,59 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.graphs.edge_keys import EMPTY, key_member, max_out_degree
 from repro.graphs.graph import Edge, Graph, canonical_edge
 
 
 class Orientation:
     """An orientation of a set of undirected edges.
 
-    Stores, for each node ``v``, the set ``out(v)`` of nodes that ``v``'s
-    edges point to.  The *out-degree bound* ``max_out_degree`` is the
-    arboricity witness the paper threads through its iterations.
+    Stored as its sorted arc keys ``src·n + dst``
+    (:mod:`repro.graphs.edge_keys`): the counts, the out-degree bound
+    ``max_out_degree`` (the arboricity witness the paper threads through
+    its iterations) and the vectorized lookups read the keys, and the
+    per-node out-sets ``out(v)`` are a view built on first set-style
+    access.
     """
 
-    __slots__ = ("_out", "_encoded")
+    __slots__ = ("_n", "_arcs", "_sets")
 
-    def __init__(self, n: int) -> None:
-        self._out: Dict[int, Set[int]] = {v: set() for v in range(n)}
-        self._encoded: Optional[np.ndarray] = None
+    def __init__(self, n: int, arcs: Optional[np.ndarray] = None) -> None:
+        """Orientation on ``n`` nodes of the sorted, duplicate-free arc
+        keys ``arcs`` (none by default)."""
+        self._n = n
+        self._arcs = EMPTY if arcs is None else np.asarray(arcs, dtype=np.int64)
+        self._sets: Optional[Dict[int, Set[int]]] = None
+
+    @property
+    def _out(self) -> Dict[int, Set[int]]:
+        if self._sets is None:
+            src, dst = np.divmod(self._arcs, self._n)
+            bounds = np.searchsorted(src, np.arange(self._n + 1)).tolist()
+            flat = dst.tolist()
+            self._sets = {
+                v: set(flat[bounds[v] : bounds[v + 1]]) for v in range(self._n)
+            }
+        return self._sets
 
     @property
     def num_nodes(self) -> int:
-        return len(self._out)
+        return self._n
 
     def orient(self, src: int, dst: int) -> None:
-        """Record the edge ``{src, dst}`` as oriented ``src -> dst``."""
+        """Record the edge ``{src, dst}`` as oriented ``src -> dst``.
+
+        One insertion into the sorted keys, so this is for hand-built
+        orientations; the builders below collect their keys and
+        construct once.
+        """
         if src == dst:
             raise ValueError(f"cannot orient self-loop at {src}")
-        if dst in self._out.get(src, set()) or src in self._out.get(dst, set()):
+        if self.covers(src, dst):
             raise ValueError(f"edge ({src}, {dst}) already oriented")
+        key = src * self._n + dst
+        self._arcs = np.insert(self._arcs, np.searchsorted(self._arcs, key), key)
         self._out[src].add(dst)
-        self._encoded = None
 
     def out_neighbors(self, v: int) -> Set[int]:
         """Targets of edges oriented away from ``v``."""
@@ -58,9 +82,7 @@ class Orientation:
     @property
     def max_out_degree(self) -> int:
         """The witness bound: max over nodes of out-degree."""
-        if not self._out:
-            return 0
-        return max(len(targets) for targets in self._out.values())
+        return max_out_degree(self._arcs, self._n)
 
     def direction(self, u: int, v: int) -> Tuple[int, int]:
         """Return the oriented pair for edge ``{u, v}``.
@@ -81,19 +103,9 @@ class Orientation:
         return v in self._out.get(u, set()) or u in self._out.get(v, set())
 
     def encoded_oriented(self) -> np.ndarray:
-        """All oriented edges as one sorted ``src·n + dst`` key array.
-
-        Cached on the instance (``orient`` invalidates), so the batch
-        routing plane pays the O(m) build once per orientation no matter
-        how many clusters consult it.
-        """
-        if self._encoded is None:
-            n = self.num_nodes
-            keys = [
-                src * n + dst for src, targets in self._out.items() for dst in targets
-            ]
-            self._encoded = np.sort(np.asarray(keys, dtype=np.int64))
-        return self._encoded
+        """All oriented edges as one sorted ``src·n + dst`` key array
+        (the storage itself; do not modify)."""
+        return self._arcs
 
     def direction_array(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`direction`: oriented (src, dst) per input pair.
@@ -104,16 +116,9 @@ class Orientation:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         n = self.num_nodes
-        enc = self.encoded_oriented()
-
-        def present(keys: np.ndarray) -> np.ndarray:
-            if not enc.size:
-                return np.zeros(keys.shape, dtype=bool)
-            idx = np.searchsorted(enc, keys)
-            return (idx < enc.size) & (enc[np.minimum(idx, enc.size - 1)] == keys)
-
-        as_is = present(a * n + b)
-        missing = ~(as_is | present(b * n + a))
+        arcs = self.encoded_oriented()
+        as_is = key_member(arcs, a * n + b)
+        missing = ~(as_is | key_member(arcs, b * n + a))
         if missing.any():
             u, v = int(a[missing][0]), int(b[missing][0])
             raise KeyError(f"edge ({u}, {v}) not present in orientation")
@@ -134,37 +139,7 @@ class Orientation:
                 yield (src, dst)
 
     def num_edges(self) -> int:
-        return sum(len(targets) for targets in self._out.values())
-
-    def restricted_to(self, edges: Iterable[Edge]) -> "Orientation":
-        """A new orientation containing only the given (canonical) edges.
-
-        Used when the algorithm partitions an oriented edge set: each part
-        inherits the orientation of its edges, so out-degree bounds only
-        ever decrease.
-        """
-        keep = {canonical_edge(u, v) for u, v in edges}
-        sub = Orientation(len(self._out))
-        for src, dst in self.oriented_edges():
-            if canonical_edge(src, dst) in keep:
-                sub.orient(src, dst)
-        return sub
-
-    def merged_with(self, other: "Orientation") -> "Orientation":
-        """Union of two orientations on disjoint edge sets.
-
-        The paper's Ês accumulates oriented edge sets across ARB-LIST
-        iterations; out-degrees add, matching the (c+1)·n^δ bound of
-        Theorem 2.9.
-        """
-        if other.num_nodes != self.num_nodes:
-            raise ValueError("orientations are over different node sets")
-        merged = Orientation(self.num_nodes)
-        for src, dst in self.oriented_edges():
-            merged.orient(src, dst)
-        for src, dst in other.oriented_edges():
-            merged.orient(src, dst)
-        return merged
+        return int(self._arcs.size)
 
     def __repr__(self) -> str:
         return (
@@ -220,7 +195,7 @@ def degeneracy_orientation(graph: Graph, backend: str = "auto") -> Orientation:
     if resolve_backend(graph, backend) == "csr":
         return _degeneracy_orientation_csr(graph)
     n = graph.num_nodes
-    orientation = Orientation(n)
+    arcs: List[int] = []
     degree = {v: graph.degree(v) for v in graph.nodes()}
     # Bucket queue keyed by current degree.
     buckets: List[Set[int]] = [set() for _ in range(n)] if n else []
@@ -239,24 +214,24 @@ def degeneracy_orientation(graph: Graph, backend: str = "auto") -> Orientation:
         for u in graph.neighbors(v):
             if u in removed:
                 continue
-            orientation.orient(v, u)
+            arcs.append(v * n + u)
             buckets[degree[u]].discard(u)
             degree[u] -= 1
             buckets[degree[u]].add(u)
         pointer = max(0, pointer - 1)
-    return orientation
+    return Orientation(n, np.sort(np.asarray(arcs, dtype=np.int64)))
 
 
 def _degeneracy_orientation_csr(graph: Graph) -> Orientation:
-    """CSR-backed construction of the same degeneracy orientation."""
+    """CSR-backed construction of the same degeneracy orientation.
+
+    Forward rows are grouped by source and sorted within, so their arc
+    keys come out sorted.
+    """
     fptr, findices = graph.to_csr().forward()
-    orientation = Orientation(graph.num_nodes)
-    out = orientation._out
-    for v in range(graph.num_nodes):
-        row = findices[fptr[v] : fptr[v + 1]]
-        if row.size:
-            out[v] = set(row.tolist())
-    return orientation
+    n = graph.num_nodes
+    sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(fptr))
+    return Orientation(n, sources * n + findices)
 
 
 def orientation_from_order(graph: Graph, order: Iterable[int]) -> Orientation:
@@ -264,13 +239,12 @@ def orientation_from_order(graph: Graph, order: Iterable[int]) -> Orientation:
     position = {v: i for i, v in enumerate(order)}
     if len(position) != graph.num_nodes:
         raise ValueError("order must be a permutation of the node set")
-    orientation = Orientation(graph.num_nodes)
-    for u, v in graph.edges():
-        if position[u] < position[v]:
-            orientation.orient(u, v)
-        else:
-            orientation.orient(v, u)
-    return orientation
+    n = graph.num_nodes
+    arcs = [
+        u * n + v if position[u] < position[v] else v * n + u
+        for u, v in graph.edges()
+    ]
+    return Orientation(n, np.sort(np.asarray(arcs, dtype=np.int64)))
 
 
 def validate_orientation(graph: Graph, orientation: Orientation) -> None:

@@ -246,7 +246,8 @@ class ShardExecutor:
         The parent compacts the edge array once (vertex relabelling,
         dedup, identity-order forward CSR, bitset rows); workers run the
         level pipeline over disjoint root-edge slices.  Root edges
-        partition the cliques, so concatenation is exact.
+        partition the cliques, so concatenation is exact, and rows
+        ascend as in the serial kernel.
         """
         edges = np.asarray(edges, dtype=np.int64)
         if not self.parallel or edges.shape[0] < MIN_PARALLEL_ITEMS:
@@ -265,7 +266,7 @@ class ShardExecutor:
         if not tables:
             return np.empty((0, p), dtype=np.int64)
         local = np.concatenate(tables) if len(tables) > 1 else tables[0]
-        return np.sort(verts[local], axis=1)
+        return verts[local]
 
     def count_csr(self, csr: CSRGraph, p: int) -> int:
         """Sharded Kp count of a snapshot (exact: per-slice counts sum).

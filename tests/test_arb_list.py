@@ -8,6 +8,7 @@ from repro.core.arb_list import ArbListState, arb_list
 from repro.core.list_iteration import list_once
 from repro.core.params import AlgorithmParameters
 from repro.graphs.cliques import cliques_touching_edges, enumerate_cliques
+from repro.graphs.edge_keys import key_edges
 from repro.graphs.generators import clustered_graph, erdos_renyi
 from repro.graphs.graph import Graph
 from repro.graphs.orientation import Orientation, degeneracy_orientation
@@ -18,15 +19,7 @@ def fresh_state(graph, threshold=None, params=None):
     arboricity = max(1, orientation.max_out_degree)
     if threshold is None:
         threshold = max(1, arboricity // 4)
-    return ArbListState(
-        n=graph.num_nodes,
-        es_edges=set(),
-        es_orientation=Orientation(graph.num_nodes),
-        er_edges=graph.edge_set(),
-        orientation=orientation,
-        arboricity=arboricity,
-        threshold=threshold,
-    )
+    return ArbListState.start(graph, orientation, arboricity, threshold)
 
 
 class TestArbListInvariants:
@@ -38,7 +31,8 @@ class TestArbListInvariants:
         ledger = RoundLedger()
         outcome = arb_list(state, params, np.random.default_rng(0), ledger)
         truth = enumerate_cliques(g, 4)
-        obligated = cliques_touching_edges(truth, outcome.goal_edges)
+        goal = key_edges(outcome.goal_keys, g.num_nodes)
+        obligated = cliques_touching_edges(truth, goal)
         assert obligated <= outcome.cliques
 
     def test_listed_cliques_are_real(self):
@@ -56,19 +50,23 @@ class TestArbListInvariants:
         outcome = arb_list(state, params, np.random.default_rng(0), RoundLedger())
         # Every original edge is either a fulfilled goal edge or still in
         # the state (Ês ∪ Êr).
-        reconstructed = outcome.goal_edges | state.es_edges | state.er_edges
+        goal, es, er = (
+            key_edges(keys, g.num_nodes)
+            for keys in (outcome.goal_keys, state.es_keys, state.er_keys)
+        )
+        reconstructed = goal | es | er
         assert reconstructed == g.edge_set()
-        assert not outcome.goal_edges & (state.es_edges | state.er_edges)
+        assert not goal & (es | er)
 
     def test_er_shrinks_geometrically(self):
         g = erdos_renyi(80, 0.35, seed=12)
         state = fresh_state(g, threshold=6)
         params = AlgorithmParameters(p=4)
-        er_before = len(state.er_edges)
+        er_before = len(key_edges(state.er_keys, g.num_nodes))
         arb_list(state, params, np.random.default_rng(0), RoundLedger())
         # Theorem 2.9 target: |Êr| ≤ |Er|/4 (decomposition gives /6, bad
         # edges can add up to 1/25 at paper thresholds → none here).
-        assert len(state.er_edges) <= er_before / 4
+        assert len(key_edges(state.er_keys, g.num_nodes)) <= er_before / 4
 
     def test_es_orientation_covers_es(self):
         g = erdos_renyi(80, 0.15, seed=13)
@@ -78,9 +76,9 @@ class TestArbListInvariants:
         from repro.graphs.graph import canonical_edge
 
         covered = {
-            canonical_edge(u, v) for u, v in state.es_orientation.oriented_edges()
+            canonical_edge(u, v) for u, v in key_edges(state.es_arcs, g.num_nodes)
         }
-        assert covered == state.es_edges
+        assert covered == key_edges(state.es_keys, g.num_nodes)
 
     def test_global_orientation_restricted_to_survivors(self):
         g = erdos_renyi(60, 0.4, seed=14)
@@ -90,9 +88,11 @@ class TestArbListInvariants:
         from repro.graphs.graph import canonical_edge
 
         oriented = {
-            canonical_edge(u, v) for u, v in state.orientation.oriented_edges()
+            canonical_edge(u, v) for u, v in key_edges(state.arcs, g.num_nodes)
         }
-        assert oriented == state.es_edges | state.er_edges
+        assert oriented == key_edges(state.es_keys, g.num_nodes) | key_edges(
+            state.er_keys, g.num_nodes
+        )
 
     def test_ledger_phases_charged(self):
         g = erdos_renyi(60, 0.4, seed=15)
@@ -110,8 +110,9 @@ class TestArbListInvariants:
         params = AlgorithmParameters(p=4, bad_scale=1e-6, heavy_scale=100.0)
         state = fresh_state(g, threshold=5)
         outcome = arb_list(state, params, np.random.default_rng(0), RoundLedger())
-        if outcome.bad_edges:
-            assert outcome.bad_edges <= state.er_edges
+        bad = key_edges(outcome.bad_keys, g.num_nodes)
+        if bad:
+            assert bad <= key_edges(state.er_keys, g.num_nodes)
 
 
 class TestListOnce:
@@ -125,7 +126,7 @@ class TestListOnce:
             g, orientation, arboricity, params, np.random.default_rng(0), RoundLedger()
         )
         truth = enumerate_cliques(g, 4)
-        removed = g.edge_set() - outcome.es_edges
+        removed = g.edge_set() - key_edges(outcome.es_keys, g.num_nodes)
         obligated = cliques_touching_edges(truth, removed)
         assert obligated <= outcome.cliques
         assert outcome.cliques <= truth
@@ -164,4 +165,4 @@ class TestListOnce:
         outcome = list_once(
             g, Orientation(10), 1, params, np.random.default_rng(0), RoundLedger()
         )
-        assert not outcome.cliques and not outcome.es_edges
+        assert not outcome.cliques and not key_edges(outcome.es_keys, 10)

@@ -14,6 +14,7 @@ from repro.graphs.cliques import (
     rows_touching_edges,
     triangles,
 )
+from repro.graphs.edge_keys import edge_keys
 from repro.graphs.generators import complete_graph, cycle_graph, erdos_renyi, planted_cliques
 from repro.graphs.graph import Graph
 from repro.graphs.io import to_networkx
@@ -125,11 +126,14 @@ class TestFilters:
         # Either endpoint order names the same edge.
         edges = [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(edges)]
         table = clique_table(g, p)
-        kept = table.rows[rows_touching_edges(table.rows, edges, g.num_nodes)]
+        keys = edge_keys(edges, g.num_nodes)
+        kept = table.rows[rows_touching_edges(table.rows, keys, g.num_nodes)]
         assert {frozenset(row) for row in kept.tolist()} == cliques_touching_edges(
             enumerate_cliques(g, p), edges
         )
-        assert not rows_touching_edges(table.rows, [], g.num_nodes).any()
+        assert not rows_touching_edges(
+            table.rows, edge_keys([], g.num_nodes), g.num_nodes
+        ).any()
 
     def test_triangles_wrapper(self, triangle):
         assert triangles(triangle) == {frozenset((0, 1, 2))}

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.congest.ledger import RoundLedger
@@ -17,6 +18,11 @@ from repro.decomposition.arboricity import validate_peeling
 from repro.decomposition.cluster import Cluster, cluster_membership
 from repro.decomposition.expander import DecompositionParams
 from repro.decomposition.mixing import polylog_mixing_budget, simulate_mixing_time
+from repro.decomposition.spectral import (
+    adjacency_matrix,
+    normalized_laplacian_second_eigenpair,
+)
+from repro.graphs.edge_keys import edge_keys, key_edges
 from repro.graphs.generators import (
     barbell_graph,
     bounded_arboricity_graph,
@@ -135,30 +141,66 @@ class TestSweepCut:
         g = complete_graph(3)
         assert sweep_cut(g, [0, 1, 2]) is None
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            barbell_graph(10, 2),
+            erdos_renyi(60, 0.15, seed=4),
+            clustered_graph(3, 14, intra_p=0.8, inter_edges_per_pair=3, seed=2),
+        ],
+    )
+    def test_matches_scalar_prefix_scan(self, graph):
+        """The vectorized sweep equals the one-vertex-at-a-time scan."""
+        nodes = sorted(max(graph.connected_components(), key=len))
+        adj = adjacency_matrix(graph, nodes)
+        degrees = np.asarray(adj.sum(axis=1)).flatten()
+        _lambda2, fiedler = normalized_laplacian_second_eigenpair(adj)
+        order = np.argsort(fiedler / np.sqrt(degrees))
+        rows = adj.tolil().rows
+        total = float(degrees.sum())
+        in_prefix = np.zeros(len(nodes), dtype=bool)
+        cut = volume = 0.0
+        best, best_len = np.inf, 0
+        for step, v in enumerate(order[:-1]):
+            cut += degrees[v] - 2 * sum(1 for u in rows[v] if in_prefix[u])
+            volume += degrees[v]
+            in_prefix[v] = True
+            denom = min(volume, total - volume)
+            if denom > 0 and cut / denom < best:
+                best, best_len = cut / denom, step + 1
+        side = {nodes[i] for i in order[:best_len]}
+        if float(degrees[order[:best_len]].sum()) > total / 2:
+            side = set(nodes) - side
+        result = sweep_cut(graph, nodes)
+        assert result.conductance == best
+        assert result.side == side
+
 
 class TestClusterObject:
     def test_requires_two_nodes(self):
         with pytest.raises(ValueError):
-            Cluster(0, frozenset({1}), frozenset(), 1)
+            Cluster(0, frozenset({1}), edge_keys([], 2), 2, 1)
 
     def test_edge_endpoints_inside(self):
         with pytest.raises(ValueError):
-            Cluster(0, frozenset({0, 1}), frozenset({(1, 2)}), 1)
+            Cluster(0, frozenset({0, 1}), edge_keys({(1, 2)}, 3), 3, 1)
 
     def test_new_ids_are_one_to_k(self):
-        c = Cluster(0, frozenset({5, 9, 2}), frozenset({(2, 5), (5, 9), (2, 9)}), 2)
+        c = Cluster(
+            0, frozenset({5, 9, 2}), edge_keys({(2, 5), (5, 9), (2, 9)}, 10), 10, 2
+        )
         ids = c.new_ids()
         assert sorted(ids.values()) == [1, 2, 3]
         assert ids[2] == 1  # sorted by global ID
 
     def test_internal_degree(self):
-        c = Cluster(0, frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)}), 1)
+        c = Cluster(0, frozenset({0, 1, 2}), edge_keys({(0, 1), (1, 2)}, 3), 3, 1)
         assert c.internal_degree(1) == 2
         assert c.internal_degree(0) == 1
 
     def test_membership_disjointness_enforced(self):
-        a = Cluster(0, frozenset({0, 1}), frozenset({(0, 1)}), 1)
-        b = Cluster(1, frozenset({1, 2}), frozenset({(1, 2)}), 1)
+        a = Cluster(0, frozenset({0, 1}), edge_keys({(0, 1)}, 3), 3, 1)
+        b = Cluster(1, frozenset({1, 2}), edge_keys({(1, 2)}, 3), 3, 1)
         with pytest.raises(ValueError, match="belongs to clusters"):
             cluster_membership([a, b])
 
@@ -185,15 +227,17 @@ class TestExpanderDecomposition:
         dec = expander_decomposition(g, threshold=8)
         validate_decomposition(g, dec)
         assert not dec.clusters
-        assert dec.es_edges == g.edge_set()
+        assert key_edges(dec.es_keys, g.num_nodes) == g.edge_set()
 
     def test_er_bound_holds(self, caveman):
         dec = expander_decomposition(caveman, threshold=6, phi=0.06)
-        assert len(dec.er_edges) <= caveman.num_edges / 6
+        assert len(key_edges(dec.er_keys, dec.n)) <= caveman.num_edges / 6
 
     def test_partition_is_exact(self, caveman):
         dec = expander_decomposition(caveman, threshold=6)
-        em, es, er = dec.em_edges, dec.es_edges, dec.er_edges
+        em, es, er = (
+            key_edges(keys, dec.n) for keys in (dec.em_keys, dec.es_keys, dec.er_keys)
+        )
         assert em | es | er == caveman.edge_set()
         assert not (em & es) and not (em & er) and not (es & er)
 
@@ -231,7 +275,11 @@ class TestExpanderDecomposition:
         g = Graph(10)
         dec = expander_decomposition(g, threshold=3)
         validate_decomposition(g, dec)
-        assert not dec.clusters and not dec.es_edges and not dec.er_edges
+        assert (
+            not dec.clusters
+            and not key_edges(dec.es_keys, 10)
+            and not key_edges(dec.er_keys, 10)
+        )
 
     def test_stats_keys(self, caveman):
         dec = expander_decomposition(caveman, threshold=6)
@@ -249,13 +297,21 @@ class TestValidationCatchesViolations:
     def test_detects_leftover_overflow(self, caveman):
         dec = expander_decomposition(caveman, threshold=6)
         # Corrupt: move most of Em into Er.
-        dec.er_edges |= set(list(dec.em_edges)[: caveman.num_edges // 2])
+        dec.er_keys = edge_keys(
+            key_edges(dec.er_keys, dec.n)
+            | set(list(key_edges(dec.em_keys, dec.n))[: caveman.num_edges // 2]),
+            dec.n,
+        )
         with pytest.raises(ValueError):
             validate_decomposition(caveman, dec)
 
     def test_detects_missing_edges(self, caveman):
         dec = expander_decomposition(caveman, threshold=6)
-        dec.er_edges = set(list(dec.er_edges)[:0])  # drop Er edges entirely
-        if caveman.edge_set() != dec.em_edges | dec.es_edges:
+        dec.er_keys = edge_keys(
+            set(list(key_edges(dec.er_keys, dec.n))[:0]), dec.n
+        )  # drop Er edges entirely
+        if caveman.edge_set() != key_edges(dec.em_keys, dec.n) | key_edges(
+            dec.es_keys, dec.n
+        ):
             with pytest.raises(ValueError, match="cover"):
                 validate_decomposition(caveman, dec)

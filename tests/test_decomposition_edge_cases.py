@@ -9,10 +9,10 @@ from repro.decomposition.expander import DecompositionParams
 from repro.decomposition.spectral import (
     adjacency_matrix,
     lambda2_of_component,
-    local_indexing,
     normalized_laplacian_second_eigenpair,
 )
 from repro.decomposition.sweep_cut import sweep_cut
+from repro.graphs.edge_keys import key_edges
 from repro.graphs.generators import (
     barbell_graph,
     complete_graph,
@@ -26,11 +26,6 @@ from repro.graphs.graph import Graph
 
 
 class TestSpectralHelpers:
-    def test_local_indexing_round_trip(self):
-        index, ordered = local_indexing([7, 2, 9])
-        assert ordered == [2, 7, 9]
-        assert index == {2: 0, 7: 1, 9: 2}
-
     def test_adjacency_matrix_symmetric(self):
         g = erdos_renyi(20, 0.3, seed=1)
         adj = adjacency_matrix(g, list(range(20)))
@@ -111,7 +106,7 @@ class TestDecompositionRobustness:
         g = erdos_renyi(40, 0.2, seed=4)
         dec = expander_decomposition(g, threshold=1000)
         assert not dec.clusters
-        assert dec.es_edges == g.edge_set()
+        assert key_edges(dec.es_keys, g.num_nodes) == g.edge_set()
 
     def test_two_cliques_zero_bridge(self):
         g = Graph(16)
@@ -127,7 +122,7 @@ class TestDecompositionRobustness:
         g = barbell_graph(16, 1)
         dec = expander_decomposition(g, threshold=4)
         validate_decomposition(g, dec)
-        assert len(dec.er_edges) <= g.num_edges / 6
+        assert len(key_edges(dec.er_keys, g.num_nodes)) <= g.num_edges / 6
 
     def test_decomposition_params_default_phi(self):
         params = DecompositionParams(threshold=4)

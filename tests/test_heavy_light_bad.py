@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.bad_edges import bad_edge_fraction_bound, split_bad_edges
 from repro.core.heavy_light import classify_outside_neighbors
+from repro.graphs.edge_keys import edge_keys, key_edges
 from repro.graphs.generators import complete_graph, star_graph
 from repro.graphs.graph import Graph
 
@@ -63,9 +64,11 @@ class TestBadEdges:
         g = make_cluster_with_satellites()
         cluster_edges = frozenset(complete_graph(4).edges())
         split = classify_outside_neighbors(g, {0, 1, 2, 3}, heavy_threshold=10)
-        bad = split_bad_edges(g, {0, 1, 2, 3}, cluster_edges, split.light, 1000)
+        bad = split_bad_edges(
+            g, {0, 1, 2, 3}, edge_keys(cluster_edges, g.num_nodes), split.light, 1000
+        )
         assert not bad.bad_nodes
-        assert bad.goal_edges == cluster_edges
+        assert key_edges(bad.goal_keys, g.num_nodes) == cluster_edges
 
     def test_bad_nodes_forced_by_low_threshold(self):
         # Star of light satellites around members 0 and 1.
@@ -76,11 +79,15 @@ class TestBadEdges:
         split = classify_outside_neighbors(g, {0, 1, 2, 3}, heavy_threshold=5)
         assert split.light == frozenset(range(4, 10))
         bad = split_bad_edges(
-            g, {0, 1, 2, 3}, frozenset(complete_graph(4).edges()), split.light, 3
+            g,
+            {0, 1, 2, 3},
+            edge_keys(complete_graph(4).edges(), g.num_nodes),
+            split.light,
+            3,
         )
         assert bad.bad_nodes == frozenset({0, 1})
-        assert bad.bad_edges == frozenset({(0, 1)})
-        assert (0, 1) not in bad.goal_edges
+        assert key_edges(bad.bad_keys, g.num_nodes) == frozenset({(0, 1)})
+        assert (0, 1) not in key_edges(bad.goal_keys, g.num_nodes)
 
     def test_single_bad_endpoint_keeps_edge(self):
         g = Graph(10, complete_graph(4).edge_set())
@@ -88,23 +95,31 @@ class TestBadEdges:
             g.add_edge(0, leaf)  # only node 0 becomes bad
         split = classify_outside_neighbors(g, {0, 1, 2, 3}, heavy_threshold=5)
         bad = split_bad_edges(
-            g, {0, 1, 2, 3}, frozenset(complete_graph(4).edges()), split.light, 3
+            g,
+            {0, 1, 2, 3},
+            edge_keys(complete_graph(4).edges(), g.num_nodes),
+            split.light,
+            3,
         )
         assert bad.bad_nodes == frozenset({0})
-        assert not bad.bad_edges  # both endpoints must be bad
+        assert not key_edges(bad.bad_keys, g.num_nodes)  # both endpoints must be bad
 
     def test_light_degree_reported(self):
         g = make_cluster_with_satellites()
         split = classify_outside_neighbors(g, {0, 1, 2, 3}, heavy_threshold=10)
         bad = split_bad_edges(
-            g, {0, 1, 2, 3}, frozenset(complete_graph(4).edges()), split.light, 100
+            g,
+            {0, 1, 2, 3},
+            edge_keys(complete_graph(4).edges(), g.num_nodes),
+            split.light,
+            100,
         )
         assert bad.light_degree[0] == 1  # node 0 sees light node 4
         assert bad.light_degree[3] == 1  # node 3 sees light node 5
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
-            split_bad_edges(complete_graph(3), {0, 1}, frozenset(), frozenset(), 0)
+            split_bad_edges(complete_graph(3), {0, 1}, edge_keys([], 3), frozenset(), 0)
 
     def test_paper_fraction_constant(self):
         assert bad_edge_fraction_bound() == pytest.approx(1 / 25)
@@ -117,6 +132,10 @@ class TestBadEdges:
             g.add_edge(2, leaf)
         split = classify_outside_neighbors(g, {0, 1, 2, 3}, heavy_threshold=6)
         cluster_edges = frozenset(complete_graph(4).edges())
-        bad = split_bad_edges(g, {0, 1, 2, 3}, cluster_edges, split.light, 3)
-        assert bad.bad_edges | bad.goal_edges == cluster_edges
-        assert not bad.bad_edges & bad.goal_edges
+        bad = split_bad_edges(
+            g, {0, 1, 2, 3}, edge_keys(cluster_edges, g.num_nodes), split.light, 3
+        )
+        bad_edges = key_edges(bad.bad_keys, g.num_nodes)
+        goal_edges = key_edges(bad.goal_keys, g.num_nodes)
+        assert bad_edges | goal_edges == cluster_edges
+        assert not bad_edges & goal_edges

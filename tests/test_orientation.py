@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.graphs.edge_keys import edge_keys, merge_arcs, restrict_arcs
 from repro.graphs.generators import complete_graph, erdos_renyi, path_graph
 from repro.graphs.graph import Graph
 from repro.graphs.orientation import (
@@ -64,18 +65,22 @@ class TestOrientation:
 
 
 class TestRestrictMerge:
+    """Restriction and merge act on arc-key arrays (``src·n + dst``)."""
+
     def test_restricted_to_subset(self):
         o = Orientation(4)
         o.orient(0, 1)
         o.orient(2, 3)
-        sub = o.restricted_to([(0, 1)])
+        arcs = restrict_arcs(o.encoded_oriented(), edge_keys([(0, 1)], 4), 4)
+        sub = Orientation(4, arcs)
         assert sub.covers(0, 1)
         assert not sub.covers(2, 3)
 
     def test_restriction_preserves_direction(self):
         o = Orientation(3)
         o.orient(2, 0)
-        sub = o.restricted_to([(0, 2)])
+        arcs = restrict_arcs(o.encoded_oriented(), edge_keys([(0, 2)], 3), 3)
+        sub = Orientation(3, arcs)
         assert sub.direction(0, 2) == (2, 0)
 
     def test_merge_disjoint(self):
@@ -83,7 +88,9 @@ class TestRestrictMerge:
         a.orient(0, 1)
         b = Orientation(4)
         b.orient(2, 3)
-        merged = a.merged_with(b)
+        merged = Orientation(
+            4, merge_arcs(a.encoded_oriented(), b.encoded_oriented(), 4)
+        )
         assert merged.num_edges() == 2
 
     def test_merge_overlapping_rejected(self):
@@ -92,18 +99,17 @@ class TestRestrictMerge:
         b = Orientation(3)
         b.orient(1, 0)
         with pytest.raises(ValueError):
-            a.merged_with(b)
+            merge_arcs(a.encoded_oriented(), b.encoded_oriented(), 3)
 
     def test_merge_out_degrees_add(self):
         a = Orientation(4)
         a.orient(0, 1)
         b = Orientation(4)
         b.orient(0, 2)
-        assert a.merged_with(b).out_degree(0) == 2
-
-    def test_merge_size_mismatch(self):
-        with pytest.raises(ValueError):
-            Orientation(3).merged_with(Orientation(4))
+        merged = Orientation(
+            4, merge_arcs(a.encoded_oriented(), b.encoded_oriented(), 4)
+        )
+        assert merged.out_degree(0) == 2
 
 
 class TestDegeneracyOrientation:

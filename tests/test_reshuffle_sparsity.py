@@ -10,6 +10,7 @@ from repro.core.params import AlgorithmParameters
 from repro.core.reshuffle import owner_assignment, reshuffle_edges
 from repro.core.sparsity_aware import sparsity_aware_listing
 from repro.graphs.cliques import cliques_touching_edges, enumerate_cliques
+from repro.graphs.edge_keys import edge_keys
 from repro.graphs.generators import complete_graph, erdos_renyi
 from repro.graphs.graph import Graph, canonical_edge
 from repro.graphs.orientation import degeneracy_orientation
@@ -113,7 +114,7 @@ class TestSparsityAwareListing:
                 graph.num_nodes,
                 members,
                 reshuffled.owned,
-                goal_edges,
+                edge_keys(goal_edges, graph.num_nodes),
                 params,
                 router,
                 ledger,
@@ -134,6 +135,22 @@ class TestSparsityAwareListing:
         outcome, _ = self._cluster_listing(g, list(range(6)), p=3, goal_edges=goal)
         truth = cliques_touching_edges(enumerate_cliques(g, 3), goal)
         assert outcome.cliques == truth
+
+    def test_batch_plane_respects_goal_edge_filter(self):
+        """The batch plane skips its goal filter only when every learned
+        edge is a goal edge; a partial goal set must still filter."""
+        g = complete_graph(6)
+        members = list(range(6))
+        params = AlgorithmParameters(p=3, execution=ExecutionConfig(plane="batch"))
+        owned = {members[0]: np.asarray(sorted(g.edges()), dtype=np.int64)}
+        truth = enumerate_cliques(g, 3)
+        for goal in (frozenset({(0, 1)}), frozenset(g.edges())):
+            router = ClusterRouter(members, capacity=4, n=6)
+            outcome = sparsity_aware_listing(
+                6, members, owned, edge_keys(goal, 6), params, router,
+                RoundLedger(), np.random.default_rng(0), "sparsity",
+            )
+            assert outcome.cliques == cliques_touching_edges(truth, goal)
 
     def test_attribution_uses_cluster_members(self):
         g = erdos_renyi(24, 0.4, seed=5)

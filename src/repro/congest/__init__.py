@@ -28,6 +28,7 @@ from repro.congest.batch import (
     bincount_loads,
     deliver,
     fanout_edges_by_pair,
+    fanout_loads_by_pair,
 )
 from repro.congest.errors import (
     BandwidthExceededError,
@@ -58,6 +59,7 @@ __all__ = [
     "bincount_loads",
     "deliver",
     "fanout_edges_by_pair",
+    "fanout_loads_by_pair",
     "BandwidthExceededError",
     "CorruptionDetectedError",
     "FaultError",

@@ -316,3 +316,42 @@ def fanout_edges_by_pair(
         dst=np.concatenate(dst_cols),
         endpoints=np.concatenate(pay_cols),
     )
+
+
+def fanout_loads_by_pair(
+    edge_src: np.ndarray,
+    pair_of_edge: np.ndarray,
+    recipients_of_pair: Sequence[np.ndarray],
+    n: int,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``(send, recv, messages)`` of :func:`fanout_edges_by_pair`'s batch,
+    without building it.
+
+    The fan-out's loads depend on per-pair edge counts only: a source
+    sends each of its edges once per recipient of the edge's pair, and
+    a recipient receives every edge of every pair it is listed for.  So
+    ``send`` is one weighted ``np.bincount`` over the edges, ``recv`` one
+    over the concatenated recipient lists weighted by their pair's edge
+    count, and ``messages = Σ count(pair)·|recipients(pair)|`` — equal to
+    ``bincount_loads`` of the materialized batch and its length.  Loads
+    are in words, 2 per message (an edge, as :meth:`MessageBatch.of_edges`).
+    """
+    edge_src = np.asarray(edge_src, dtype=np.int64)
+    pair_of_edge = np.asarray(pair_of_edge, dtype=np.int64)
+    if edge_src.size != pair_of_edge.size:
+        raise ValueError("edge columns must have equal length")
+    sizes = np.asarray([r.size for r in recipients_of_pair], dtype=np.int64)
+    per_pair = np.bincount(pair_of_edge, minlength=sizes.size)
+    # Float weights are exact here: every partial sum is an integer far
+    # below 2^53.
+    send = np.bincount(edge_src, weights=sizes[pair_of_edge], minlength=n)
+    recv = np.bincount(
+        np.concatenate(recipients_of_pair).astype(np.int64),
+        weights=np.repeat(per_pair, sizes),
+        minlength=n,
+    )
+    return (
+        send.astype(np.int64) * 2,
+        recv.astype(np.int64) * 2,
+        int(per_pair @ sizes),
+    )

@@ -13,7 +13,10 @@ cover everything Theorem 1.3 needs:
   O(w) rounds.  We charge ``lenzen_slack · ceil(max_load / n)``.
 
 The class *performs* the data movement (mailboxes) and charges a ledger,
-mirroring :class:`~repro.congest.routing.ClusterRouter`.
+mirroring :class:`~repro.congest.routing.ClusterRouter`.  Every charge
+goes through :meth:`CongestedClique.charge_loads`, a function of the
+per-node word loads alone, so a pattern whose loads are known in
+aggregate can be charged without being executed.
 """
 
 from __future__ import annotations
@@ -101,12 +104,13 @@ class CongestedClique:
                 flat_src.append(src)
                 flat_dst.append(dst)
                 flat_payload.append(payload)
-        self._charge_pattern(
+        self.charge_loads(
             ledger, phase, np.asarray(send_load), np.asarray(recv_load),
-            len(flat_payload), extra_send_words, extra_recv_words, stats,
+            len(flat_payload), extra_send_words, extra_recv_words,
             src=np.asarray(flat_src, dtype=np.int64),
             dst=np.asarray(flat_dst, dtype=np.int64),
             words_per_message=words_per_message,
+            **stats,
         )
         silent = self._heal(
             ledger, phase, flat_src, flat_dst, words_per_message
@@ -151,18 +155,15 @@ class CongestedClique:
         extra_recv_words: Optional[np.ndarray] = None,
         **stats: Any,
     ) -> None:
-        """Validate and charge a batch pattern without central delivery.
+        """Validate and charge a batch pattern without delivering it.
 
-        The shard executors' charging endpoint: the ledger rounds and
-        stats are exactly :meth:`route_batch`'s (same validation, same
-        bincount loads, same charging path), but the mailbox fill is
-        left to the shard workers, each of which delivers only its own
-        destination range (:mod:`repro.parallel`).
-
-        With a fault seam attached, the healing loop runs here too (the
-        pattern must be fully acked before the workers fan out), but
-        silent corruption is not modeled on the worker-side delivery —
-        see ``docs/faults.md``.
+        For callers that need the executed pattern's per-link pricing
+        on an overlay topology but not its mailboxes: the ledger rounds
+        and stats are exactly :meth:`route_batch`'s (same validation,
+        same bincount loads, same :meth:`charge_loads`).  With a fault
+        seam attached the healing loop runs here too, but nothing is
+        delivered, so silent corruption has nowhere to land — faulted
+        callers that list what they learn use :meth:`route_batch`.
         """
         self._charge_and_heal(
             batch, ledger, phase, extra_send_words, extra_recv_words, stats
@@ -193,11 +194,12 @@ class CongestedClique:
         send_load, recv_load = bincount_loads(
             batch.src, batch.dst, self.n, batch.words_per_message
         )
-        self._charge_pattern(
+        self.charge_loads(
             ledger, phase, send_load, recv_load, len(batch),
-            extra_send_words, extra_recv_words, stats,
+            extra_send_words, extra_recv_words,
             src=batch.src, dst=batch.dst,
             words_per_message=batch.words_per_message,
+            **stats,
         )
         return self._heal(
             ledger, phase, batch.src, batch.dst, batch.words_per_message
@@ -226,21 +228,32 @@ class CongestedClique:
             retry_rounds=self.rounds_for_load,
         )
 
-    def _charge_pattern(
+    def charge_loads(
         self,
         ledger: RoundLedger,
         phase: str,
         send_load: np.ndarray,
         recv_load: np.ndarray,
-        total: int,
-        extra_send_words: Optional[np.ndarray],
-        extra_recv_words: Optional[np.ndarray],
-        stats: Dict[str, Any],
+        messages: int,
+        extra_send_words: Optional[np.ndarray] = None,
+        extra_recv_words: Optional[np.ndarray] = None,
         src: Optional[np.ndarray] = None,
         dst: Optional[np.ndarray] = None,
         words_per_message: int = 1,
-    ) -> None:
-        """Shared charging path — both planes land here with equal loads."""
+        **stats: Any,
+    ) -> float:
+        """Charge one routing step from its per-node word loads.
+
+        The single charging path: :meth:`route`, :meth:`route_batch` and
+        :meth:`charge_batch` land here with the loads they measured, and
+        a driver that knows its loads in aggregate (Theorem 1.3's
+        fan-out, :func:`repro.congest.batch.fanout_loads_by_pair`) calls
+        it directly — the row is the same either way, because it depends
+        on the loads and the message count only.  ``src``/``dst`` (the
+        executed pattern) are needed only to price a non-clique overlay
+        per link; without them the makespan is the uniform charge
+        rescaled.  Returns the charged rounds.
+        """
         if extra_send_words is not None:
             send_load = send_load + np.asarray(extra_send_words, dtype=np.int64)
         if extra_recv_words is not None:
@@ -260,12 +273,13 @@ class CongestedClique:
             rounds,
             makespan=makespan,
             n=self.n,
-            messages=int(total),
+            messages=int(messages),
             max_send_words=max_send,
             max_recv_words=max_recv,
             **stats,
             **overlay_stats,
         )
+        return rounds
 
     def rounds_for_load(self, max_send_words: int, max_recv_words: int) -> float:
         """Lenzen charge for measured loads (0 rounds for no traffic)."""

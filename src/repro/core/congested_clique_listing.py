@@ -15,32 +15,34 @@ The §2.4.3 machinery run on the whole clique of n nodes:
    the Kp it sees; every Kp's part multiset is some node's digit
    sequence, so the union is complete.
 
-The data movement of step 3 *executes* on the routing plane named by
-``params.execution.plane`` (``docs/architecture.md`` § routing planes):
+Step 3 runs on the routing plane named by ``params.execution.plane``
+(``docs/architecture.md`` § routing planes):
 
-- ``"batch"`` (default) — the fan-out pattern is built as numpy
-  arrays straight from the CSR forward adjacency (p²-recipient
-  replication via ``np.repeat``/``np.tile``), routed through
-  :meth:`CongestedClique.route_batch`, and each node's learned subgraph
-  is reconstructed and listed without intermediate Python sets;
+- ``"batch"`` (default) — the charge is computed from aggregate loads.
+  Lemma 2.7's charge depends on per-node word loads only, and those
+  follow from the per-pair edge counts: a node sends each out-edge once
+  per recipient of the edge's part pair and receives every edge of
+  every pair its digits cover (:func:`~repro.congest.batch.
+  fanout_loads_by_pair`, charged through
+  :meth:`CongestedClique.charge_loads`).  Step 4 then lists the graph
+  once — one global table, each row attributed to the responsible node
+  of its part multiset, which is exactly the node whose learned
+  subgraph would have produced it.  The (edge, recipient) messages are
+  materialized only where the pattern itself matters: under an active
+  fault seam (healing retries pending message subsets, and silent
+  corruption must reach the listing through the delivered mailboxes)
+  and on an overlay topology (per-link pricing needs every message's
+  endpoints);
 - ``"object"`` — every (edge, recipient) pair becomes one Python
   tuple through :meth:`CongestedClique.route` dict mailboxes and each
-  learned subgraph is rebuilt set-by-set.  This is the reference
-  semantics the differential tests pin the batch plane against.
-
-On the batch plane with a shard executor
-(:meth:`~repro.core.config.ExecutionConfig.resolve_executor`: a
-``workers`` process pool or a ``hosts`` cluster), the mailbox fill *and*
-the per-node learned-subgraph listing shard by destination ranges
-across it.  The ledger is charged through
-:meth:`CongestedClique.charge_batch` — the same validation, loads and
-stats as the central ``route_batch`` — and each shard delivers and
-lists only its own destinations.
+  learned subgraph is rebuilt set-by-set.  This is the executed,
+  message-level reference semantics the differential tests pin the
+  batch plane against.
 
 Both planes charge **identical** ledger rounds: the charge is a function
 of the measured per-node word loads, and the loads are the same numbers
-whether counted by ``Counter`` loop, ``np.bincount``, or per-shard
-bincounts that partition the destination space.
+whether counted by ``Counter`` loop over the executed messages or by
+bincounts over the per-pair edge counts.
 
 If m is so small that Lemma 2.7's conditions fail, the paper pads with
 *fake edges* until m/n^{1/p} = 20·n·log n — the round count is Õ(1)
@@ -56,7 +58,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.congest.batch import fanout_edges_by_pair
+from repro.congest.batch import fanout_edges_by_pair, fanout_loads_by_pair
 from repro.congest.congested_clique import CongestedClique
 from repro.congest.errors import CorruptionDetectedError
 from repro.congest.ledger import RoundLedger
@@ -134,11 +136,11 @@ def list_cliques_congested_clique(
     ``precomputed_table`` is the streaming entry point: a ``(count, p)``
     table of *all* Kp of ``graph`` (e.g. a
     :meth:`~repro.stream.engine.StreamEngine.clique_table` maintained
-    incrementally).  The routing of step 3 still executes and charges
-    identically on either plane, but step 4's local listing is served
-    from the table — each known clique is attributed directly to the
-    node responsible for its part multiset, which is exactly the row the
-    per-node learned-subgraph enumeration would have produced.
+    incrementally).  Step 3 still charges identically on either plane,
+    but step 4's listing is served from the table — each known clique is
+    attributed directly to the node responsible for its part multiset,
+    which is exactly the row the per-node learned-subgraph enumeration
+    would have produced.
     """
     if params is None:
         params = AlgorithmParameters(p=p)
@@ -266,18 +268,16 @@ def _recount_self_check(result: ListingResult, graph: Graph, p: int) -> None:
         )
 
 
-def _attribute_precomputed(
+def _attribute_by_parts(
     result: ListingResult, table: np.ndarray, part_arr: np.ndarray, s: int
 ) -> None:
-    """Serve step 4 from a maintained clique table (the streaming query
-    path): each row is attributed to the responsible node of its part
-    multiset — the same node whose learned-subgraph enumeration would
-    have emitted it, so outputs and per-node attribution are identical
-    to the listing tails on either plane."""
+    """Attribute every row of a global Kp table to the responsible node
+    of its part multiset — the one node whose learned subgraph holds
+    all of the row's edges and whose digit sequence the row spells, so
+    outputs and per-node attribution equal the per-node listing's."""
     if table.shape[0] == 0:
         return
-    owners = responsible_index_array(part_arr[table], s)
-    result.attribute_table(owners, table)
+    result.attribute_table(responsible_index_array(part_arr[table], s), table)
 
 
 def _route_and_list_arrays(
@@ -294,67 +294,74 @@ def _route_and_list_arrays(
     precomputed_table: Optional[np.ndarray] = None,
     executor=None,
 ) -> None:
-    """Columnar edge distribution + per-node listing (zero Python sets).
+    """Columnar step 3 (charge) and step 4 (listing), zero Python sets.
 
-    One implementation serves every executor — the fan-out batch, the
-    charge, and the responsible-node attribution are shared, so the
-    executors cannot drift apart:
+    - No active fault seam, clique topology: ``learn_edges`` is charged
+      from the aggregate loads and nothing is routed;
+    - overlay topology: the fan-out batch is materialized for its
+      per-link pricing (:meth:`CongestedClique.charge_batch`) but not
+      delivered;
+    - active fault seam: the batch is routed and healed
+      (:meth:`CongestedClique.route_batch`) and, unless a table is
+      precomputed, every delivered mailbox is listed (sharded across
+      ``executor`` when there is one) and the responsible-node filter
+      keeps the rows whose part multiset is the lister's own digit
+      sequence — so silent corruption reaches the listing and the
+      end-of-run recount.
 
-    - ``executor=None`` (one core): the pattern routes through
-      :meth:`CongestedClique.route_batch` and one block-diagonal level
-      pipeline lists every node's learned subgraph straight off the
-      delivered columns;
-    - ``executor`` set (a local process pool or a node cluster — both
-      expose the same four shard kernels): the identical pattern is
-      charged via :meth:`CongestedClique.charge_batch` (same
-      validation, loads, rounds, stats) and delivery + listing shard
-      across the executor —
-      each shard masks out its destination range of the batch columns,
-      fills its own mailboxes, and lists them through the same grouped
-      pipeline.  Destination ranges partition both the mailboxes and the
-      responsible nodes, so the merged rows equal the central path's
-      rows exactly, wherever the shards physically ran.
-
-    Either way the responsible-node filter keeps exactly the rows whose
-    part multiset is the lister's own digit sequence (each Kp survives
-    at precisely one node).
+    Otherwise step 4 is one global table — ``precomputed_table`` or one
+    :func:`grouped_clique_tables` group holding the whole oriented edge
+    set — attributed by :func:`_attribute_by_parts`.
     """
     n = part_arr.size
     edge_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(fptr))
-    edge_dst = findices
-    batch = fanout_edges_by_pair(
-        edge_src,
-        edge_dst,
-        pair_index_array(part_arr[edge_src], part_arr[edge_dst], s),
-        pair_recipient_lists(s, p),
-    )
+    pair_of_edge = pair_index_array(part_arr[edge_src], part_arr[findices], s)
+    recipients = pair_recipient_lists(s, p)
     charge_kwargs = dict(
         extra_send_words=extra_send,
         extra_recv_words=extra_recv,
         fake_edges=fake_total,
         parts=s,
     )
-    if executor is None:
-        delivered = clique_net.route_batch(
-            batch, result.ledger, "learn_edges", **charge_kwargs
+    faulted = clique_net.faults is not None and clique_net.faults.active
+    topology = clique_net.topology
+    if not faulted and (topology is None or topology.is_clique):
+        send, recv, messages = fanout_loads_by_pair(
+            edge_src, pair_of_edge, recipients, n
+        )
+        clique_net.charge_loads(
+            result.ledger, "learn_edges", send, recv, messages, **charge_kwargs
         )
     else:
-        clique_net.charge_batch(
-            batch, result.ledger, "learn_edges", **charge_kwargs
+        batch = fanout_edges_by_pair(edge_src, findices, pair_of_edge, recipients)
+        if not faulted:
+            clique_net.charge_batch(
+                batch, result.ledger, "learn_edges", **charge_kwargs
+            )
+        else:
+            delivered = clique_net.route_batch(
+                batch, result.ledger, "learn_edges", **charge_kwargs
+            )
+            if precomputed_table is None:
+                lister = (
+                    grouped_clique_tables if executor is None
+                    else executor.grouped_tables
+                )
+                owners, table = lister(
+                    delivered.indptr, delivered.payload, p, assume_unique=True
+                )
+                mine = responsible_index_array(part_arr[table], s) == owners
+                result.attribute_table(owners[mine], table[mine])
+                return
+    table = precomputed_table
+    if table is None:
+        _, table = grouped_clique_tables(
+            np.array([0, findices.size]),
+            np.column_stack((edge_src, findices)),
+            p,
+            assume_unique=True,
         )
-    if precomputed_table is not None:
-        _attribute_precomputed(result, precomputed_table, part_arr, s)
-        return
-    if executor is None:
-        owners, table = grouped_clique_tables(
-            delivered.indptr, delivered.payload, p, assume_unique=True
-        )
-    else:
-        owners, table = executor.fanout_tables(batch, n, p)
-    if table.shape[0] == 0:
-        return
-    mine = responsible_index_array(part_arr[table], s) == owners
-    result.attribute_table(owners[mine], table[mine])
+    _attribute_by_parts(result, table, part_arr, s)
 
 
 def _route_and_list_object(
@@ -396,7 +403,7 @@ def _route_and_list_object(
         parts=s,
     )
     if precomputed_table is not None:
-        _attribute_precomputed(
+        _attribute_by_parts(
             result, precomputed_table, np.asarray(part_of, dtype=np.int64), s
         )
         return

@@ -18,6 +18,7 @@ Two pieces:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -187,15 +188,29 @@ def responsible_index_array(
     """Vectorized :func:`responsible_new_id` minus one, over clique rows.
 
     ``part_digits`` is a ``(rows, p)`` matrix of part labels (one row per
-    clique, any order).  Each row is sorted ascending and read as a
-    base-s number least-significant-digit-first — exactly the scalar
-    function's ``index = index*s + digit`` over the reversed sorted
-    multiset — yielding the 0-based responsible index.
+    clique, any order).  Each row is read as a base-s code
+    least-significant-digit-first and looked up in
+    :func:`_responsible_lookup`, the per-code answer of the scalar
+    function (sort the multiset, read it back as a base-s number) — one
+    integer matmul and one gather instead of a per-row sort.
     """
     part_digits = np.asarray(part_digits, dtype=np.int64)
-    ascending = np.sort(part_digits, axis=1)
-    powers = s ** np.arange(part_digits.shape[1], dtype=np.int64)
-    return ascending @ powers
+    p = part_digits.shape[1]
+    return _responsible_lookup(s, p)[part_digits @ _digit_powers(s, p)]
+
+
+def _digit_powers(s: int, p: int) -> np.ndarray:
+    return s ** np.arange(p, dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=64)
+def _responsible_lookup(s: int, p: int) -> np.ndarray:
+    """Responsible index of every base-s digit code of length p: row-sort
+    each of the s^p digit sequences and read it back as a code."""
+    ascending = np.sort(radix_digit_table(s, p), axis=1)
+    table = ascending @ _digit_powers(s, p)
+    table.flags.writeable = False
+    return table
 
 
 def pair_recipient_count(s: int, p: int, a: int, b: int) -> int:

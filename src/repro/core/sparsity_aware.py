@@ -31,6 +31,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.congest.batch import fanout_loads_by_pair
 from repro.congest.ledger import RoundLedger
 from repro.congest.routing import ClusterRouter
 from repro.congest.topology import makespan_for_rounds
@@ -38,11 +39,10 @@ from repro.core.params import AlgorithmParameters
 from repro.core.reshuffle import OwnedEdges
 from repro.core.partition import (
     VertexPartition,
-    num_part_pairs,
     pair_index_array,
     pair_recipient_count,
+    pair_recipient_lists,
     radix_assignment,
-    radix_digit_table,
     random_partition,
     responsible_index_array,
     responsible_new_id,
@@ -248,40 +248,17 @@ def _sparsity_aware_batch(
         np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
     )
     part_arr = partition.part_array()
-    npairs = num_part_pairs(s)
-    # Recipient counts per pair index — the exact numbers the object
-    # plane obtains per edge, evaluated once per pair.
-    pair_lo = np.repeat(np.arange(s, dtype=np.int64), np.arange(s, 0, -1))
-    pair_hi = np.concatenate([np.arange(a, s, dtype=np.int64) for a in range(s)])
-    recipients_per_pair = np.asarray(
-        [pair_recipient_count(s, p, int(a), int(b)) for a, b in zip(pair_lo, pair_hi)],
-        dtype=np.int64,
+    pair_idx = pair_index_array(part_arr[edges[:, 0]], part_arr[edges[:, 1]], s)
+    # The fan-out's loads from the per-pair edge counts alone — the exact
+    # numbers the object plane accumulates message by message.  Every
+    # recipient index is below s^p <= k.
+    send_load, recv_load, _ = fanout_loads_by_pair(
+        owner_pos, pair_idx, pair_recipient_lists(s, p), k
     )
-
-    if edges.shape[0]:
-        pair_idx = pair_index_array(part_arr[edges[:, 0]], part_arr[edges[:, 1]], s)
-        send_load = np.bincount(
-            owner_pos, weights=2 * recipients_per_pair[pair_idx], minlength=k
-        ).astype(np.int64)
-        pair_counts = np.bincount(pair_idx, minlength=npairs)
-    else:
-        send_load = np.zeros(k, dtype=np.int64)
-        pair_counts = np.zeros(npairs, dtype=np.int64)
     # The learned edge set (the kernel's own dedup of these distinct
     # rows is one sort and one neighbor compare).
     known_keys = edge_keys(edges, n)
     known = key_pairs(known_keys, n)
-
-    assigned = min(k, s**p)
-    membership_digits = radix_digit_table(s, p)[:assigned]
-    member_has_part = (
-        membership_digits[:, :, None] == np.arange(s, dtype=np.int64)
-    ).any(axis=1)
-    recv_load = np.zeros(k, dtype=np.int64)
-    for pair in range(npairs):
-        if pair_counts[pair]:
-            both = member_has_part[:, pair_lo[pair]] & member_has_part[:, pair_hi[pair]]
-            recv_load[:assigned][both] += 2 * pair_counts[pair]
 
     max_send = int(send_load.max(initial=0))
     max_recv = int(recv_load.max(initial=0))

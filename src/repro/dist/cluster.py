@@ -1,8 +1,8 @@
 """The cluster: shard kernels dispatched across nodes, with retry.
 
 :class:`Cluster` subclasses :class:`~repro.parallel.executor.
-ShardExecutor` and keeps its entire kernel surface (``fanout_tables`` /
-``grouped_tables`` / ``clique_table`` / ``count_csr``) — the shard
+ShardExecutor` and keeps its entire kernel surface (``grouped_tables`` /
+``clique_table`` / ``count_csr``) — the shard
 *planning* (contiguous weight-balanced ranges) and the shard→merge
 concatenation discipline are inherited unchanged, so the determinism
 argument of the local pool carries over verbatim.  Only the
@@ -23,10 +23,10 @@ Scheduling and fault handling:
 - when every node is dead and shards remain, :class:`~repro.dist.errors.
   ClusterError` reports the shortfall.
 
-Charging stays local: the drivers charge the ledger through
-``charge_batch`` *before* dispatch (exactly like the local pool), so
-ledger rows are byte-identical whichever executor runs the shards —
-nothing about rounds ever crosses the wire.
+Charging stays local: the drivers charge the ledger on the calling
+process *before* dispatch (exactly like the local pool), so ledger rows
+are byte-identical whichever executor runs the shards — nothing about
+rounds ever crosses the wire.
 
 The process-wide registry (:func:`get_cluster`) mirrors
 :func:`repro.parallel.executor.get_executor`: one cluster per hosts

@@ -707,8 +707,8 @@ def grouped_clique_tables(
         return np.concatenate(owners_list), np.concatenate(tables)
 
     # Identity-order forward edges per group: orient low local id → high.
-    c_lo = combined.min(axis=1)
-    c_hi = combined.max(axis=1)
+    c_lo = np.minimum(combined[:, 0], combined[:, 1])
+    c_hi = np.maximum(combined[:, 0], combined[:, 1])
     l_hi = c_hi - base[owner]
     if not assume_unique:
         fkeys = np.unique(c_lo * np.int64(group_width + 1) + l_hi)

@@ -1,14 +1,12 @@
-"""The shard executor: one process pool, four deterministic kernels.
+"""The shard executor: one process pool, three deterministic kernels.
 
 :class:`ShardExecutor` owns a persistent worker pool and exposes the
 parallel twins of the batch plane's hot kernels:
 
-- :meth:`fanout_tables` — the Theorem 1.3 step-3/4 tail: split the
-  fan-out :class:`~repro.congest.batch.MessageBatch` columns by
-  destination ranges, deliver and list every learned subgraph
-  worker-side, concatenate the per-shard ``(owners, table)`` results;
 - :meth:`grouped_tables` — sharded
-  :func:`repro.graphs.csr.grouped_clique_tables` over group ranges;
+  :func:`repro.graphs.csr.grouped_clique_tables` over group ranges (the
+  Theorem 1.3 driver lists its delivered mailboxes with it on faulted
+  runs);
 - :meth:`clique_table` — sharded
   :func:`repro.graphs.csr.clique_table_from_edge_array` (compaction on
   the parent, root-edge slices on the workers);
@@ -66,7 +64,7 @@ from repro.parallel import tasks
 from repro.parallel.shard import balanced_ranges, indptr_ranges
 from repro.parallel.shm import mem_ref, sharing
 
-#: Below this many work items (messages, edges) a kernel runs serially —
+#: Below this many work items (edges) a kernel runs serially —
 #: the pool round-trip plus shared-memory setup costs ~1 ms, which only
 #: pays for itself once the numpy work comfortably exceeds it.
 MIN_PARALLEL_ITEMS = 2048
@@ -183,37 +181,6 @@ class ShardExecutor:
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
-    def fanout_tables(
-        self, batch, n: int, p: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Deliver-and-list a fan-out batch, sharded by destination.
-
-        ``batch`` is an *undelivered* edge-carrying
-        :class:`~repro.congest.batch.MessageBatch` (the §2.4.3 fan-out);
-        ``n`` the destination space.  Shards are contiguous destination
-        ranges balanced by received-message weight (the fan-out
-        concentrates load on the s^p responsible nodes); each worker
-        fills and lists only its own mailboxes.  Returns the same
-        ``(owners, table)`` the batch plane's central
-        ``deliver`` + ``grouped_clique_tables`` produces, up to row
-        order.
-        """
-        if batch.obj is not None:
-            raise ValueError("fanout batches carry fixed-width edge payloads only")
-        if len(batch) == 0:
-            return np.empty(0, dtype=np.int64), np.empty((0, p), dtype=np.int64)
-        if not self.parallel or len(batch) < MIN_PARALLEL_ITEMS:
-            ranges = [(0, n)]
-        else:
-            weights = np.bincount(batch.dst, minlength=n)
-            ranges = balanced_ranges(weights, self.workers)
-        results = self._run(
-            tasks.fanout_listing_shard,
-            {"dst": batch.dst, "payload": batch.payload},
-            [(lo, hi, p) for lo, hi in ranges if hi > lo],
-        )
-        return _merge_owner_tables(results, p)
-
     def grouped_tables(
         self,
         group_indptr: np.ndarray,

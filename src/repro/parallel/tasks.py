@@ -64,33 +64,6 @@ def grouped_tables_shard(
     return owners + lo, table
 
 
-def fanout_listing_shard(
-    refs: Dict[str, ArrayRef], lo: int, hi: int, p: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Deliver-and-list for destination nodes ``[lo, hi)`` of a fan-out.
-
-    Inputs: the undelivered :class:`~repro.congest.batch.MessageBatch`
-    columns ``dst`` (int64) and ``payload`` (``(messages, 2)`` uint32
-    edge endpoints).  The shard performs its own slice of the columnar
-    mailbox fill — boolean mask, stable argsort, bincount boundaries,
-    exactly :func:`repro.congest.batch.deliver` restricted to its range
-    — then lists every mailbox through the same grouped pipeline the
-    batch plane uses.  Returns global ``(owners, table)``.
-    """
-    with resolved(refs) as a:
-        dst = a["dst"]
-        mask = (dst >= lo) & (dst < hi)
-        local = dst[mask] - lo
-        rows = a["payload"][mask]
-        order = np.argsort(local, kind="stable")
-        local = local[order]
-        rows = rows[order]
-        indptr = np.zeros(hi - lo + 1, dtype=np.int64)
-        np.cumsum(np.bincount(local, minlength=hi - lo), out=indptr[1:])
-        owners, table = grouped_clique_tables(indptr, rows, p, assume_unique=True)
-    return owners + lo, table
-
-
 def forward_table_shard(
     refs: Dict[str, ArrayRef], lo: int, hi: int, p: int
 ) -> np.ndarray:

@@ -457,9 +457,10 @@ class QueryEngine:
         """A full CONGESTED CLIQUE listing run over the *current* graph,
         its local-listing tail served from the maintained table.
 
-        The routing (and its ledger charges) still execute on the
-        simulated network; only the per-node local listing is answered
-        from the stream engine's maintained K_p table — see
+        The routing is charged as on any run (from aggregate loads on
+        the batch plane, executed on the object plane); only the
+        listing is answered from the stream engine's maintained K_p
+        table — see
         ``precomputed_table`` in
         :func:`~repro.core.congested_clique_listing.list_cliques_congested_clique`.
         ``plane`` becomes the run's

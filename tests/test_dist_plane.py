@@ -487,16 +487,23 @@ class TestDriverParity:
 
     def test_node_failure_mid_driver_retries(self, force_sharding):
         """The acceptance scenario: one node dies mid-run; the shard is
-        retried on the survivor and the results stay byte-identical."""
+        retried on the survivor and the results stay byte-identical.
+
+        The CONGEST driver with ``stop_scale`` forcing the cluster
+        pipeline dispatches its learned-subgraph listings; the Theorem
+        1.3 driver charges from aggregate loads and lists centrally, so
+        an unfaulted run of it dispatches nothing."""
         hosts = ("test-failing", "test-survivor")
         failing = FailingOnceNode()
         cluster = Cluster([failing, LocalNode()], name="test-retry")
         register_cluster(hosts, cluster)
         try:
             g = create_workload("er").instance(48, seed=2)
-            batch = list_cliques_congested_clique(g, 3, seed=2)
-            dist = list_cliques_congested_clique(
-                g, 3, seed=2, params=dist_params(3, hosts)
+            batch = list_cliques_congest(
+                g, 3, seed=2, params=AlgorithmParameters(p=3, stop_scale=0.1)
+            )
+            dist = list_cliques_congest(
+                g, 3, seed=2, params=dist_params(3, hosts, stop_scale=0.1)
             )
             assert failing.failures == 1
             assert cluster.stats["retries"] >= 1
@@ -516,9 +523,11 @@ class TestDriverParity:
         register_cluster(hosts, cluster)
         try:
             g = create_workload("er").instance(48, seed=0)
-            batch = list_cliques_congested_clique(g, 3, seed=0)
-            dist = list_cliques_congested_clique(
-                g, 3, seed=0, params=dist_params(3, hosts)
+            batch = list_cliques_congest(
+                g, 3, seed=0, params=AlgorithmParameters(p=3, stop_scale=0.1)
+            )
+            dist = list_cliques_congest(
+                g, 3, seed=0, params=dist_params(3, hosts, stop_scale=0.1)
             )
             assert sorted_listing(dist) == sorted_listing(batch)
             assert dist.per_node == batch.per_node

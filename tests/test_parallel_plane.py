@@ -7,7 +7,7 @@ drivers, identical maintained stream counts — across every static
 workload family, several seeds, and including the ``workers=1``
 degenerate mode.  The shard threshold is forced to zero throughout so
 even toy instances exercise the real pool path (shared-memory
-transport, worker-side delivery, shard merge).
+transport, worker-side kernels, shard merge).
 """
 
 from __future__ import annotations
@@ -20,18 +20,14 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.congest.batch import MessageBatch, deliver, fanout_edges_by_pair
+from repro.congest.batch import MessageBatch
 from repro.congest.congested_clique import CongestedClique
 from repro.congest.ledger import RoundLedger
 from repro.congest.routing import ClusterRouter
 from repro.core.config import ExecutionConfig
-from repro.core.congested_clique_listing import (
-    list_cliques_congested_clique,
-    num_parts_for_clique,
-)
+from repro.core.congested_clique_listing import list_cliques_congested_clique
 from repro.core.listing import list_cliques_congest
 from repro.core.params import AlgorithmParameters
-from repro.core.partition import pair_index_array, pair_recipient_lists
 from repro.graphs.cliques import enumerate_cliques
 from repro.graphs.csr import (
     clique_table_from_edge_array,
@@ -209,49 +205,13 @@ class TestExecutorKernels:
         sharded = get_executor(workers).count_csr(g.to_csr(), p)
         assert serial == sharded
 
-    @pytest.mark.parametrize("workers", WORKERS)
-    def test_fanout_tables_parity(self, force_sharding, workers):
-        """The §2.4.3 fan-out: central deliver+list vs sharded workers."""
-        g = create_workload("er").instance(60, seed=5)
-        csr = g.to_csr()
-        fptr, findices = csr.forward()
-        n = g.num_nodes
-        s = num_parts_for_clique(n, 3)
-        rng = np.random.default_rng(11)
-        part = rng.integers(0, s, size=n).astype(np.int64)
-        edge_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(fptr))
-        batch = fanout_edges_by_pair(
-            edge_src,
-            findices,
-            pair_index_array(part[edge_src], part[findices], s),
-            pair_recipient_lists(s, 3),
-        )
-        delivered = deliver(batch, n)
-        central = grouped_clique_tables(
-            delivered.indptr, delivered.payload, 3, assume_unique=True
-        )
-        sharded = get_executor(workers).fanout_tables(batch, n, 3)
-        assert rows_as_set(*central) == rows_as_set(*sharded)
-
     def test_empty_inputs(self, force_sharding):
         executor = get_executor(2)
-        owners, table = executor.fanout_tables(
-            MessageBatch.empty(width=2, words_per_message=2), 10, 3
+        owners, table = executor.grouped_tables(
+            np.zeros(4, dtype=np.int64), np.empty((0, 2), dtype=np.int64), 3
         )
         assert owners.size == 0 and table.shape == (0, 3)
         assert executor.clique_table(np.empty((0, 2), dtype=np.int64), 3).shape == (0, 3)
-
-    def test_object_column_batches_rejected(self):
-        obj = np.empty(1, dtype=object)
-        obj[0] = "tag"
-        batch = MessageBatch(
-            src=np.array([0]),
-            dst=np.array([1]),
-            payload=np.zeros((1, 0), dtype=np.uint32),
-            obj=obj,
-        )
-        with pytest.raises(ValueError):
-            get_executor(2).fanout_tables(batch, 2, 3)
 
     def test_task_kernels_run_in_process(self):
         """The worker task functions directly, on inline refs — the exact

@@ -11,6 +11,7 @@ from repro.core.partition import (
     pair_recipient_count,
     radix_assignment,
     random_partition,
+    responsible_index_array,
     responsible_new_id,
 )
 from repro.core.reshuffle import owner_assignment
@@ -190,6 +191,34 @@ class TestRadixProperties:
         assert assignment is not None
         for part in multiset:
             assert part in assignment
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=40),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_responsible_lookup_matches_sort_reference(self, s, p, rows, data):
+        """The lookup-table ``responsible_index_array`` equals the per-row
+        sort it replaced and the scalar ``responsible_new_id``."""
+        digits = np.asarray(
+            data.draw(
+                st.lists(
+                    st.lists(
+                        st.integers(min_value=0, max_value=s - 1),
+                        min_size=p, max_size=p,
+                    ),
+                    min_size=rows, max_size=rows,
+                )
+            ),
+            dtype=np.int64,
+        ).reshape(rows, p)
+        reference = np.sort(digits, axis=1) @ (s ** np.arange(p, dtype=np.int64))
+        looked_up = responsible_index_array(digits, s)
+        assert looked_up.tolist() == reference.tolist()
+        for row, index in zip(digits.tolist(), looked_up.tolist()):
+            assert responsible_new_id(row, s, p) == index + 1
 
     @given(st.integers(min_value=2, max_value=4), st.integers(min_value=3, max_value=5))
     @settings(max_examples=30, deadline=None)
